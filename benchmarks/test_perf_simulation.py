@@ -183,20 +183,21 @@ class TestAttributionOverhead:
 
 
 class TestProfilerOverhead:
-    """The kernel profiler must fit the observability perf budget.
+    """The tracer's profile view must fit the observability perf budget.
 
-    Off: :func:`repro.obs.profile.region` is one module-global check
-    returning a shared no-op context, so an unprofiled run must be
+    Off: :func:`repro.obs.tracing.span` is one module-global check
+    returning a shared no-op context, so an untraced run must be
     indistinguishable from the pre-profiler engine (the bare samples
-    here double as that contract).  On: each region entry/exit is two
-    ``perf_counter`` reads, two list ops, and a dict upsert -- a few
-    hundred nanoseconds against step kernels that run for tens of
-    microseconds at the ``large`` rung.  The acceptance target is
-    <= 10 % over the bare step; observed is ~1-3 %.  The ceiling is
-    1.35x to absorb single-core container jitter (individual samples
-    swing 2x either way -- hence interleaved min-of-4 on both paths);
-    a real regression (e.g. allocating a fresh context manager or
-    formatting a name per call) costs well over that.
+    here double as that contract).  On, as ``--profile-out`` alone
+    installs it (no timeline): each span entry/exit is one small
+    allocation, two ``perf_counter`` reads, a few list ops, and a dict
+    upsert -- about a microsecond against step kernels that run for
+    tens of microseconds at the ``large`` rung.  The acceptance target
+    is <= 10 % over the bare step.  The ceiling is 1.35x to absorb
+    single-core container jitter (individual samples swing 2x either
+    way -- hence interleaved min-of-4 on both paths); a real regression
+    (e.g. keeping a span per call, or formatting a name per call)
+    costs well over that.
     """
 
     MAX_OVERHEAD_RATIO = 1.35
@@ -204,22 +205,22 @@ class TestProfilerOverhead:
 
     def _timed(self, profiled: bool) -> float:
         from repro import bench
-        from repro.obs import profile
+        from repro.obs import tracing
 
         case = bench.CASES["large"]
         sim = bench._build_simulation(case, seed=7)
-        profiler = profile.Profiler() if profiled else None
+        tracer = tracing.Tracer(timeline=False) if profiled else None
         start = time.perf_counter()
-        with profile.use_profiler(profiler):
+        with tracing.use_tracer(tracer):
             sim.run(duration_s=self.LADDER_STEPS * STEP_S, step_s=STEP_S,
                     engine="vector")
         return time.perf_counter() - start
 
     def test_profiler_overhead_within_budget(self):
-        from repro.obs import profile
+        from repro.obs import tracing
 
-        assert not profile.enabled(), (
-            "a profiler leaked into the benchmark process")
+        assert not tracing.enabled(), (
+            "a tracer leaked into the benchmark process")
         self._timed(profiled=True)  # warm-up
         off_samples, on_samples = [], []
         for _ in range(4):  # interleaved: noise hits both paths alike

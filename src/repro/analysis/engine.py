@@ -26,15 +26,15 @@ Scoping follows the repository's determinism contract:
   (``core/``, ``network/``, ``sweep/``, ``validation/``,
   ``monitor/``, ``serve/``, ``telemetry/``), with a wall-clock
   allowlist for the sanctioned timing paths (``obs/tracing.py``,
-  ``obs/profile.py``, ``bench.py``, ``sweep/runner.py``, and the
-  serve layer's latency histograms in ``serve/app.py``).
+  ``bench.py``, ``sweep/runner.py``, and the serve layer's latency
+  histograms in ``serve/app.py``).
 * **NP-FLOW** sinks are the packages whose *outputs* must be
   byte-identical (:attr:`CheckConfig.flow_sinks`); the taint
   propagator honors the same wall-clock allowlist at the source end.
 * **NP-UNIT**, **NP-API**, **NP-SCHEMA**, and **NP-OBS** rules apply
   to every checked file, except that :mod:`repro.units` itself may
   spell out the raw powers of ten it exists to name, and the ``obs``
-  implementing modules may forward span/region names as parameters.
+  implementing module may forward span names as parameters.
 
 Paths are reported relative to the ``repro`` package root (e.g.
 ``core/model.py``), so reports do not depend on where the tree is
@@ -76,15 +76,13 @@ class CheckConfig:
         "telemetry")
     #: Package-relative files where wall-clock reads are sanctioned.
     wallclock_allow: Tuple[str, ...] = (
-        "obs/tracing.py", "obs/profile.py", "bench.py", "sweep/runner.py",
-        "serve/app.py")
+        "obs/tracing.py", "bench.py", "sweep/runner.py", "serve/app.py")
     #: Package-relative files exempt from NP-UNIT scale-literal checks.
     unit_literal_exempt: Tuple[str, ...] = ("units.py",)
     #: Package-relative files exempt from NP-OBS literal-name checks:
-    #: the observability modules whose helpers forward a ``name``
+    #: the observability module whose helpers forward a ``name``
     #: parameter by design.
-    obs_forwarding_exempt: Tuple[str, ...] = (
-        "obs/tracing.py", "obs/profile.py")
+    obs_forwarding_exempt: Tuple[str, ...] = ("obs/tracing.py",)
     #: Path prefixes whose functions are NP-FLOW taint *sinks*: the
     #: code whose outputs the determinism contract covers.  A trailing
     #: ``/`` matches a package, a full file name matches one file.
@@ -167,7 +165,7 @@ class FileContext:
 
     @property
     def obs_forwarding_allowed(self) -> bool:
-        """Whether dynamic span/region names are sanctioned here."""
+        """Whether dynamic span names are sanctioned here."""
         return self.path in self.config.obs_forwarding_exempt
 
 

@@ -44,7 +44,7 @@ from repro.network import (
     generate_synth_network,
     synth_config,
 )
-from repro.obs import profile, tracing
+from repro.obs import tracing
 
 #: Simulation step used by every benchmark case (the SNMP poll period).
 STEP_S = 300.0
@@ -61,10 +61,11 @@ STEP_S = 300.0
 #: ledger attached: ms/step, the delta against the plain vector run, the
 #: overhead fraction, and the ledger's conservation residual) on cases
 #: flagged for it; unflagged cases carry ``null``.  v6 adds a
-#: ``profile`` block to every engine entry -- per-kernel call counts and
-#: cumulative/self milliseconds from the kernel profiler attached around
-#: each timed run -- which the regression sentinel (``--compare``,
-#: :func:`compare_reports`) diffs against a baseline report.
+#: ``profile`` block to every engine entry -- per-span call counts and
+#: cumulative/self milliseconds from the profile-only tracer attached
+#: around each timed run (``kernel.*`` and ``sim.*`` names) -- which the
+#: regression sentinel (``--compare``, :func:`compare_reports`) diffs
+#: against a baseline report.
 SCHEMA = "repro.bench.simulation/v6"
 
 #: Schema identifier on ``BENCH_history.jsonl`` trajectory lines.
@@ -208,17 +209,18 @@ def run_case(case: BenchCase, seed: int,
     Timing comes from :mod:`repro.obs.tracing` spans -- one ``bench.case``
     root with ``bench.build`` / ``bench.run`` children per engine and a
     ``bench.crosscheck`` tail -- so a ``--trace-out`` run shows the same
-    numbers the report records.  A private tracer is installed when none
-    is active, keeping the span durations available either way.
+    numbers the report records.  A private profile-only tracer is
+    installed when none is active, keeping the span durations available
+    either way.
     """
     if tracing.enabled():
         return _run_case_traced(case, seed, steps_override)
-    with tracing.use_tracer(tracing.Tracer()):
+    with tracing.use_tracer(tracing.Tracer(timeline=False)):
         return _run_case_traced(case, seed, steps_override)
 
 
 def _engine_entry(wall_s: float, n_steps: int, routers: int,
-                  prof: Optional[profile.Profiler] = None) -> Dict:
+                  run_tracer: tracing.Tracer) -> Dict:
     """Timing dict for one engine run.
 
     ``ms_per_step`` is wall time over the step count, so one-time costs
@@ -226,27 +228,25 @@ def _engine_entry(wall_s: float, n_steps: int, routers: int,
     final sensor export do not) amortize across the run the same way
     they do in production sweeps.  ``ms_per_step_per_1k_routers``
     normalizes by fleet size -- the number that must hold roughly flat
-    (or shrink) up the ladder for scaling to be sublinear.  With a
-    profiler, the entry carries a per-kernel ``profile`` block (calls,
-    cumulative and self milliseconds) the regression sentinel diffs.
+    (or shrink) up the ladder for scaling to be sublinear.  The
+    ``profile`` block (calls, cumulative and self milliseconds per span
+    name) comes from the run's tracer; the regression sentinel diffs it.
     """
     ms_per_step = units.s_to_ms(wall_s) / n_steps
-    entry = {
+    return {
         "wall_s": round(wall_s, 4),
         "ms_per_step": round(ms_per_step, 4),
         "ms_per_step_per_1k_routers": round(
             ms_per_step * units.KILO / routers, 4),
-    }
-    if prof is not None:
-        entry["profile"] = {
+        "profile": {
             name: {
                 "calls": stats["calls"],
                 "cum_ms": round(units.s_to_ms(stats["cum_s"]), 3),
                 "self_ms": round(units.s_to_ms(stats["self_s"]), 3),
             }
-            for name, stats in prof.to_dict()["kernels"].items()
-        }
-    return entry
+            for name, stats in run_tracer.profile_dict()["kernels"].items()
+        },
+    }
 
 
 def _run_case_traced(case: BenchCase, seed: int,
@@ -261,7 +261,8 @@ def _run_case_traced(case: BenchCase, seed: int,
     traces: Dict[str, np.ndarray] = {}
     fleet_shape: Dict[str, int] = {}
     memory: Optional[Dict] = None
-    session_prof = profile.get_profiler()
+    session = tracing.get_tracer()
+    assert session is not None
     with tracing.span("bench.case", case=case.name, n_steps=n_steps,
                       seed=seed):
         for engine in case.engines:
@@ -274,19 +275,20 @@ def _run_case_traced(case: BenchCase, seed: int,
                                  for r in sim.network.routers.values()),
                     "links": len(sim.network.links),
                 }
-            # Each timed run gets a private profiler so its per-kernel
-            # totals land in the report entry; stats merge into the
-            # session profiler (--profile-out) afterwards.
-            prof = profile.Profiler()
+            # Each timed run gets a private profile-only tracer: its
+            # totals land in the report entry, the run pays no timeline
+            # cost, and the totals merge into the session tracer
+            # afterwards.
+            run_tracer = tracing.Tracer(timeline=False)
             with tracing.span("bench.run", engine=engine) as run_span:
-                with profile.use_profiler(prof):
+                with tracing.use_tracer(run_tracer):
                     result = sim.run(duration_s=duration_s, step_s=STEP_S,
                                      snmp_period_s=snmp_period_s,
                                      engine=engine)
-            if session_prof is not None:
-                session_prof.merge(prof)
+            session.merge(run_tracer)
             timings[engine] = _engine_entry(run_span.duration_s, n_steps,
-                                            fleet_shape["routers"], prof)
+                                            fleet_shape["routers"],
+                                            run_tracer)
             phases[engine] = {
                 "build_s": round(build_span.duration_s, 4),
                 "run_s": round(run_span.duration_s, 4),
@@ -319,19 +321,18 @@ def _run_case_traced(case: BenchCase, seed: int,
             # delta against the plain run is the attribution overhead.
             with tracing.span("bench.build", engine="vector+ledger"):
                 sim = _build_simulation(case, seed)
-            # Private profiler here too, so the attribution delta
+            # Private tracer here too, so the attribution delta
             # compares two runs carrying the same profiling overhead.
-            attr_prof = profile.Profiler()
+            attr_tracer = tracing.Tracer(timeline=False)
             with tracing.span("bench.run",
                               engine="vector+ledger") as attr_span:
-                with profile.use_profiler(attr_prof):
+                with tracing.use_tracer(attr_tracer):
                     attr_result = sim.run(duration_s=duration_s,
                                           step_s=STEP_S,
                                           snmp_period_s=snmp_period_s,
                                           engine="vector",
                                           attribution=True)
-            if session_prof is not None:
-                session_prof.merge(attr_prof)
+            session.merge(attr_tracer)
             ms_on = units.s_to_ms(attr_span.duration_s) / n_steps
             ms_off = timings["vector"]["ms_per_step"]
             ledger = attr_result.ledger

@@ -22,8 +22,8 @@ Mirrors how the paper's released artifacts are used from a shell:
 * ``netpower explain``     -- run a fleet with the energy attribution
   ledger attached and print the fleet -> region -> router -> port
   drill-down (docs/OBSERVABILITY.md);
-* ``netpower profile``     -- run a synthetic fleet with the kernel
-  profiler attached and print the per-kernel time table
+* ``netpower profile``     -- run a synthetic fleet under a tracer and
+  print the per-span time table of its profile view
   (docs/OBSERVABILITY.md);
 * ``netpower check``       -- the AST-based invariant checker behind the
   repository's determinism, unit, and schema conventions
@@ -33,9 +33,10 @@ Every command takes ``--seed`` and is deterministic given it, plus the
 shared observability flags (docs/OBSERVABILITY.md): ``--log-level`` /
 ``--log-json`` control the diagnostics channel on stderr,
 ``--metrics-out`` snapshots the metrics registry (Prometheus text, or
-JSON for ``.json`` paths), ``--trace-out`` writes the span tree, and
-``--profile-out`` writes the kernel profile (JSON, folded flamegraph
-text, or speedscope, by extension).
+JSON for ``.json`` paths), and one tracer backs the last two:
+``--trace-out`` writes its span tree (timeline view) and
+``--profile-out`` its per-span profile (JSON, folded flamegraph text,
+or speedscope, by extension).
 Command *output* goes through report channels that print byte-identical
 text by default and JSON lines under ``--log-json``.
 """
@@ -106,7 +107,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write the span trace tree here as JSON")
     common.add_argument("--profile-out", metavar="PATH", default=None,
-                        help="write the kernel profile here (JSON "
+                        help="write the span profile here (JSON "
                              "document; .folded for flamegraph text, "
                              ".speedscope.json for speedscope)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -886,7 +887,7 @@ def _cmd_profile(args) -> int:
     from repro import units
     from repro.network import (FleetTrafficModel, NetworkSimulation,
                                generate_synth_network, synth_config)
-    from repro.obs import profile as obs_profile
+    from repro.obs import export, tracing
 
     if args.steps <= 0:
         _err("error: --steps must be positive")
@@ -905,14 +906,13 @@ def _cmd_profile(args) -> int:
                                 rng=np.random.default_rng(args.seed + 1))
     sim = NetworkSimulation(network, traffic,
                             rng=np.random.default_rng(args.seed + 2))
-    # Reuse the session profiler (--profile-out) when one is installed,
-    # so both flags write the same accumulated data.
-    session = obs_profile.get_profiler()
-    profiler = session if session is not None else obs_profile.Profiler()
-    with obs_profile.use_profiler(profiler):
+    # Read the session tracer (--profile-out / --trace-out) when one is
+    # installed, so the table and those files show the same data.
+    tracer = tracing.get_tracer() or tracing.Tracer(timeline=False)
+    with tracing.use_tracer(tracer):
         sim.run(duration_s=args.steps * args.step, step_s=args.step,
                 engine=args.engine, attribution=args.attribution)
-    kernels = sorted(profiler.to_dict()["kernels"].items(),
+    kernels = sorted(tracer.profile_dict()["kernels"].items(),
                      key=lambda item: (-item[1]["self_s"], item[0]))
     _out(f"{args.preset}: {len(network.routers)} routers, "
          f"{args.steps} steps, engine {args.engine}")
@@ -922,7 +922,7 @@ def _cmd_profile(args) -> int:
              f"{units.s_to_ms(stats['cum_s']):>10.2f} "
              f"{units.s_to_ms(stats['self_s']):>10.2f}")
     if args.out:
-        path = obs_profile.write_profile(Path(args.out), profiler)
+        path = export.write_profile(Path(args.out), tracer)
         _out(f"profile written to {path}")
     return 0
 
@@ -1129,7 +1129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
 
     from repro.obs import export, load_instrument_catalog, tracing
-    from repro.obs import profile as obs_profile
 
     configure(level=args.log_level, json_mode=args.log_json)
     configure_reporter(_OUT_NAME, "stdout", json_mode=args.log_json)
@@ -1137,22 +1136,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     registry = None
     tracer = None
-    profiler = None
     if args.metrics_out:
         # Import every instrumented module first so never-touched
         # instruments still register (and export an explicit zero).
         load_instrument_catalog()
         registry = obs_metrics.MetricsRegistry()
-    if args.trace_out:
-        tracer = tracing.Tracer()
-    if args.profile_out:
-        profiler = obs_profile.Profiler()
+    if args.trace_out or args.profile_out:
+        # One tracer serves both files; it keeps a span tree only when
+        # a timeline is asked for.
+        tracer = tracing.Tracer(timeline=bool(args.trace_out))
 
     prev_registry = obs_metrics.set_registry(registry) \
         if registry is not None else None
     prev_tracer = tracing.set_tracer(tracer) if tracer is not None else None
-    prev_profiler = obs_profile.set_profiler(profiler) \
-        if profiler is not None else None
     try:
         M_COMMANDS.labels(command=args.command).inc()
         # netpower: ignore[NP-OBS-001] -- the command name comes from a
@@ -1165,19 +1161,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs_metrics.set_registry(prev_registry)
         if tracer is not None:
             tracing.set_tracer(prev_tracer)
-        if profiler is not None:
-            obs_profile.set_profiler(prev_profiler)
-    if profiler is not None and registry is not None:
-        # Fold kernel totals into the netpower_profile_* families
+    if args.profile_out and registry is not None:
+        # Fold profile totals into the netpower_profile_* families
         # before the snapshot is written.
         with obs_metrics.use_registry(registry):
-            profiler.publish_metrics()
+            tracer.publish_metrics()
     if registry is not None:
         export.write_metrics(args.metrics_out, registry)
-    if tracer is not None:
+    if args.trace_out:
         export.write_trace(args.trace_out, tracer)
-    if profiler is not None:
-        obs_profile.write_profile(args.profile_out, profiler)
+    if args.profile_out:
+        export.write_profile(args.profile_out, tracer)
     return code
 
 

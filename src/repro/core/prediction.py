@@ -165,6 +165,10 @@ def predict_trace(model: PowerModel,
             continue
         groups.setdefault(key, []).append(iface)
 
+    # Each class group's member rows fold sequentially, row 0 first
+    # (``np.add.accumulate`` is a running sum), so sample k depends on
+    # column k alone: a one-sample call equals that sample of the full
+    # trace bit for bit, whatever the trace length.
     total = np.full(n, model.p_base_w.value, dtype=float)
     for key, members in groups.items():
         iface_model = model.interface_model(key)
@@ -180,7 +184,8 @@ def predict_trace(model: PowerModel,
             idle_power = 0.0
         else:
             idle_power = iface_model.p_trx_in_w.value
-        total += np.where(active, active_power, idle_power).sum(axis=0)
+        total += np.add.accumulate(
+            np.where(active, active_power, idle_power), axis=0)[-1]
     return total
 
 

@@ -28,7 +28,7 @@ from repro.core.model import PowerModel
 from repro.network.simulation import (NetworkSimulation, SimulationResult,
                                       StepObserver, StepSnapshot)
 from repro.obs import logging as obslog
-from repro.obs import profile
+from repro.obs import tracing
 from repro.telemetry.snmp import SnmpCollector
 from repro.telemetry.sources import (AutopowerSource, CounterRateModelSource,
                                      PsuEfficiencySource, SnmpPowerSource)
@@ -188,7 +188,7 @@ class FleetMonitor(StepObserver):
 
     def on_step(self, snapshot: StepSnapshot) -> None:
         """Ingest one step: rollups, drift tracking, alert evaluation."""
-        with profile.region("kernel.monitor_rollup"):
+        with tracing.span("kernel.monitor_rollup"):
             self._on_step(snapshot)
 
     def _on_step(self, snapshot: StepSnapshot) -> None:

@@ -1027,12 +1027,12 @@ class VectorizedEngine:
         # hot path never crosses the instrument layer per step.
         from repro.network.simulation import (M_EVENTS, M_SNMP_POLLS,
                                               M_STEP_SECONDS, StepSnapshot)
-        from repro.obs import profile
+        from repro.obs import tracing
         from repro.obs.ledger import COMPONENTS
-        # Kernel regions resolve to a shared no-op context while
-        # profiling is disabled; timing stays in the profiler
-        # side-channel and never touches simulation state.
-        region = profile.region
+        # Kernel spans resolve to a shared no-op context while tracing
+        # is disabled; timing stays in the tracer side-channel and
+        # never touches simulation state.
+        span = tracing.span
         observing = metrics.enabled()
         observers = sim.observers
         step_durations: List[float] = []
@@ -1066,7 +1066,7 @@ class VectorizedEngine:
                             break
                         dirty.update(declared)
                 if dirty is None:
-                    with region("kernel.refresh"):
+                    with span("kernel.refresh"):
                         state.flush_counters()
                         state.flush_noise()
                         for event in boundary:
@@ -1083,7 +1083,7 @@ class VectorizedEngine:
                         # never reaches simulation state.
                         patch_t0 = time.perf_counter()
                     hosts = sorted(dirty)
-                    with region("kernel.patch_routers"):
+                    with span("kernel.patch_routers"):
                         state.flush_counters(hosts)
                         state.flush_noise(hosts)
                         for event in boundary:
@@ -1101,21 +1101,21 @@ class VectorizedEngine:
                         patch_durations.append(patch_dt)
                 innovation_std = state.noise_std * float(
                     np.sqrt(max(0.0, 1 - rho ** 2)))
-            with region("kernel.apply_traffic"):
+            with span("kernel.apply_traffic"):
                 ingress = state.apply_traffic(t)
-            with region("kernel.advance_counters"):
+            with span("kernel.advance_counters"):
                 state.advance_counters(step_s)
-            with region("kernel.advance_noise"):
+            with span("kernel.advance_noise"):
                 state.advance_noise(rho, innovation_std)
             sim.clock_s += step_s
             t_sample = sim.clock_s
             grid[step] = t_sample
             if ledger is None:
-                with region("kernel.wall_power"):
+                with span("kernel.wall_power"):
                     wall = state.wall_power()
                 fleet_attr = None
             else:
-                with region("kernel.wall_power"):
+                with span("kernel.wall_power"):
                     wall = state.wall_power(components=ledger.power_buf)
                 fleet_attr = ledger.record(t_sample, step_s,
                                            ledger.power_buf, wall)
@@ -1127,12 +1127,14 @@ class VectorizedEngine:
                 collector.record_vector(t_sample, hostnames, wall, state)
                 next_poll_s += max(snmp_period_s, step_s)
             if state._view_routers:
-                state.sync_views()
+                with span("kernel.sync_views"):
+                    state.sync_views()
             if sim.autopower_clients:
-                for client in sim.autopower_clients.values():
-                    client.tick(t_sample)
+                with span("kernel.autopower"):
+                    for client in sim.autopower_clients.values():
+                        client.tick(t_sample)
             if observers:
-                with region("kernel.observers"):
+                with span("kernel.observers"):
                     power_by_host = dict(zip(hostnames, wall.tolist()))
                     snapshot = StepSnapshot(
                         step=step, t_s=t_sample, step_s=step_s,

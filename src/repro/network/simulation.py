@@ -24,7 +24,7 @@ from repro import units
 from repro.network.events import FleetEvent
 from repro.network.topology import ISPNetwork, Link
 from repro.network.traffic import FleetTrafficModel
-from repro.obs import metrics, profile, tracing
+from repro.obs import metrics, tracing
 from repro.obs.logging import get_logger
 from repro.telemetry.autopower import (AutopowerClient, AutopowerServer,
                                        Transport, deploy_unit)
@@ -309,8 +309,12 @@ class NetworkSimulation:
         ledger: Optional["LedgerAccumulator"] = None
         if attribution:
             from repro.obs.ledger import LedgerAccumulator
-            ledger = LedgerAccumulator(list(self.network.routers),
-                                       track_series=tracing.enabled())
+            # Only a timeline keeps the per-step series that the ledger
+            # hands over as counter tracks.
+            tracer = tracing.get_tracer()
+            ledger = LedgerAccumulator(
+                list(self.network.routers),
+                track_series=tracer is not None and tracer.timeline)
 
         n_steps = int(round(duration_s / step_s))
         grid = np.empty(n_steps)
@@ -348,8 +352,7 @@ class NetworkSimulation:
                 }
                 if ledger is not None:
                     ledger.finalize()
-                    if tracing.enabled():
-                        ledger.attach_counter_tracks(tracing.get_tracer())
+                    ledger.attach_counter_tracks(tracing.get_tracer())
                 result = SimulationResult(
                     total_power=TimeSeries(grid, total_power),
                     total_traffic_bps=TimeSeries(grid, total_traffic),
@@ -383,9 +386,9 @@ class NetworkSimulation:
             from repro.obs.ledger import COMPONENTS
         next_poll_s = self.clock_s
         event_idx = 0
-        # Kernel regions resolve to a shared no-op context while
-        # profiling is disabled (see repro.obs.profile).
-        region = profile.region
+        # Kernel spans resolve to a shared no-op context while tracing
+        # is disabled (see repro.obs.tracing).
+        span = tracing.span
         observing = metrics.enabled()
         observers = self.observers
         step_durations: List[float] = []
@@ -396,13 +399,17 @@ class NetworkSimulation:
                 # side-channel); simulation results never read it.
                 step_t0 = time.perf_counter()
             t = self.clock_s
-            while event_idx < len(pending) and pending[event_idx].at_s <= t:
-                M_EVENTS.labels(type=type(pending[event_idx]).__name__).inc()
-                pending[event_idx].apply(self)
-                event_idx += 1
-            with region("kernel.apply_traffic"):
+            if event_idx < len(pending) and pending[event_idx].at_s <= t:
+                with span("kernel.events"):
+                    while (event_idx < len(pending)
+                           and pending[event_idx].at_s <= t):
+                        M_EVENTS.labels(
+                            type=type(pending[event_idx]).__name__).inc()
+                        pending[event_idx].apply(self)
+                        event_idx += 1
+            with span("kernel.apply_traffic"):
                 ingress = self._apply_traffic(t)
-            with region("kernel.advance_counters"):
+            with span("kernel.advance_counters"):
                 for router in self.network.routers.values():
                     router.advance(step_s)
             self.clock_s += step_s
@@ -417,7 +424,7 @@ class NetworkSimulation:
                 buf = ledger.power_buf
                 power_by_host = {}
                 total = 0.0
-                with region("kernel.wall_power"):
+                with span("kernel.wall_power"):
                     for i, (host, router) in enumerate(
                             self.network.routers.items()):
                         wall = router_breakdown(router, buf[i])
@@ -431,7 +438,7 @@ class NetworkSimulation:
                 # One wall-power read per router, summed in the same
                 # sequential order as total_wall_power_w() so the total
                 # stays byte-identical with observers attached.
-                with region("kernel.wall_power"):
+                with span("kernel.wall_power"):
                     power_by_host = {host: router.wall_power_w()
                                      for host, router
                                      in self.network.routers.items()}
@@ -440,7 +447,7 @@ class NetworkSimulation:
                         total += value
                 total_power[step] = total
             else:
-                with region("kernel.wall_power"):
+                with span("kernel.wall_power"):
                     total_power[step] = self.network.total_wall_power_w()
             total_traffic[step] = ingress
             polled = t_sample >= next_poll_s
@@ -448,10 +455,12 @@ class NetworkSimulation:
                 M_SNMP_POLLS.inc()
                 collector.record(t_sample)
                 next_poll_s += max(snmp_period_s, step_s)
-            for client in self.autopower_clients.values():
-                client.tick(t_sample)
+            if self.autopower_clients:
+                with span("kernel.autopower"):
+                    for client in self.autopower_clients.values():
+                        client.tick(t_sample)
             if observers:
-                with region("kernel.observers"):
+                with span("kernel.observers"):
                     snapshot = StepSnapshot(
                         step=step, t_s=t_sample, step_s=step_s,
                         total_power_w=float(total_power[step]),

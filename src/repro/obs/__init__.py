@@ -1,7 +1,8 @@
 """repro.obs -- the shared observability substrate.
 
-Structured logging, a label-aware metrics registry, and span tracing for
-every subsystem of the toolchain: the fleet simulation, the NetPowerBench
+Structured logging, a label-aware metrics registry, and spans (one
+timed-region primitive with a profile and a timeline view) for every
+subsystem of the toolchain: the fleet simulation, the NetPowerBench
 lab, the derivation pipeline, Autopower telemetry, and the optimisation
 analyses.  See ``docs/OBSERVABILITY.md`` for the instrument catalog and
 naming conventions.
@@ -10,20 +11,21 @@ Design invariants:
 
 * **Zero-cost when disabled.**  Metrics and tracing are off by default;
   instrumented call sites resolve to shared no-ops until a registry /
-  tracer is installed (``--metrics-out`` / ``--trace-out`` do this in
-  the CLI).
+  tracer is installed (``--metrics-out`` / ``--trace-out`` /
+  ``--profile-out`` do this in the CLI).
 * **Determinism is untouched.**  Instruments only read values; seeded
   simulation and derivation outputs are byte-identical with
   observability on or off.  Wall-clock readings live only in metric
   values, log timestamps, and trace exports.
 """
 
-from repro.obs import export, logging, metrics, profile, tracing
+from repro.obs import export, logging, metrics, tracing
 from repro.obs.export import (
     chrome_trace,
     render_prometheus,
     snapshot,
     write_metrics,
+    write_profile,
     write_trace,
 )
 from repro.obs.logging import (
@@ -39,13 +41,6 @@ from repro.obs.metrics import (
     histogram,
     set_registry,
     use_registry,
-)
-from repro.obs.profile import (
-    Profiler,
-    region,
-    set_profiler,
-    use_profiler,
-    write_profile,
 )
 from repro.obs.tracing import Span, Tracer, set_tracer, span, use_tracer
 
@@ -65,7 +60,7 @@ _INSTRUMENTED_MODULES = (
     "repro.monitor.alerts",
     "repro.sweep.runner",
     "repro.obs.ledger",
-    "repro.obs.profile",
+    "repro.obs.tracing",
 )
 
 
@@ -81,12 +76,12 @@ __all__ = [
     "export",
     "logging",
     "metrics",
-    "profile",
     "tracing",
     "chrome_trace",
     "render_prometheus",
     "snapshot",
     "write_metrics",
+    "write_profile",
     "write_trace",
     "ConsoleFormatter",
     "JsonLinesFormatter",
@@ -98,11 +93,6 @@ __all__ = [
     "histogram",
     "set_registry",
     "use_registry",
-    "Profiler",
-    "region",
-    "set_profiler",
-    "use_profiler",
-    "write_profile",
     "Span",
     "Tracer",
     "set_tracer",

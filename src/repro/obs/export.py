@@ -1,13 +1,16 @@
-"""Exporters: Prometheus text format and JSON snapshots.
+"""Exporters: Prometheus text format, JSON snapshots, traces, profiles.
 
 ``render_prometheus`` emits the text exposition format (``# HELP`` /
 ``# TYPE`` headers, histogram ``_bucket``/``_sum``/``_count`` series with
 cumulative ``le`` buckets), suitable for a file-based scrape or for
 ``promtool check metrics``.  ``snapshot`` serialises the same registry as
-a JSON document for programmatic ingestion, and ``write_trace`` dumps a
-:class:`~repro.obs.tracing.Tracer` span tree -- as the native JSON form,
-or as Chrome trace-event format (loadable in Perfetto / ``chrome://
-tracing``) when the path ends in ``.trace.json``.
+a JSON document for programmatic ingestion.  The two views of a
+:class:`~repro.obs.tracing.Tracer` have one writer each:
+``write_trace`` dumps the span tree -- as the native JSON form, or as
+Chrome trace-event format (loadable in Perfetto / ``chrome://tracing``)
+when the path ends in ``.trace.json`` -- and ``write_profile`` dumps the
+profile aggregate as the native JSON form, folded-stack flamegraph text
+(``.folded``) or speedscope JSON (``.speedscope.json``).
 """
 
 from __future__ import annotations
@@ -129,33 +132,8 @@ def write_metrics(path: Union[str, Path],
     return path
 
 
-def _chrome_events(span, origin: float, events: List[Dict]) -> None:
-    if span.wall_start is None:
-        return
-    args = {k: v for k, v in span.attributes.items()}
-    if span.sim_start_s is not None:
-        args["sim_start_s"] = span.sim_start_s
-        if span.sim_end_s is not None:
-            args["sim_duration_s"] = span.sim_end_s - span.sim_start_s
-    event = {
-        "name": span.name,
-        "ph": "X",
-        "ts": round(units.s_to_us(span.wall_start - origin), 3),
-        "dur": round(units.s_to_us(span.duration_s), 3),
-        "pid": 1,
-        "tid": 1,
-        "cat": "netpower",
-    }
-    if args:
-        event["args"] = args
-    events.append(event)
-    for child in span.children:
-        _chrome_events(child, origin, events)
-
-
-def _chrome_doc_events(span_doc: Dict, pid: int,
-                       events: List[Dict]) -> None:
-    """Events for one exported (dict-form) span subtree under ``pid``."""
+def _chrome_events(span_doc: Dict, pid: int, events: List[Dict]) -> None:
+    """Events for one exported (``Span.to_dict``) subtree under ``pid``."""
     args = dict(span_doc.get("attributes") or {})
     if "sim_start_s" in span_doc:
         args["sim_start_s"] = span_doc["sim_start_s"]
@@ -174,7 +152,7 @@ def _chrome_doc_events(span_doc: Dict, pid: int,
         event["args"] = args
     events.append(event)
     for child in span_doc.get("children", ()):
-        _chrome_doc_events(child, pid, events)
+        _chrome_events(child, pid, events)
 
 
 def _process_label(process: Dict, index: int) -> str:
@@ -199,9 +177,7 @@ def chrome_trace(tracer: Tracer) -> Dict:
     :class:`~repro.obs.tracing.Tracer`) render as additional ``pid``
     rows, one per subtrace, named from their ``process`` labels.
     """
-    origin = min((s.wall_start for s in tracer.roots
-                  if s.wall_start is not None),
-                 default=getattr(tracer, "created_at", 0.0))
+    document = tracer.to_dict()
     events: List[Dict] = [{
         "name": "process_name",
         "ph": "M",
@@ -209,9 +185,9 @@ def chrome_trace(tracer: Tracer) -> Dict:
         "tid": 1,
         "args": {"name": "netpower"},
     }]
-    for root in tracer.roots:
-        _chrome_events(root, origin, events)
-    tracks = getattr(tracer, "counter_tracks", None) or []
+    for span_doc in document["spans"]:
+        _chrome_events(span_doc, 1, events)
+    tracks = document.get("counter_tracks", ())
     if tracks:
         events.append({
             "name": "process_name",
@@ -230,8 +206,7 @@ def chrome_trace(tracer: Tracer) -> Dict:
                     "cat": "netpower",
                     "args": {"value": value},
                 })
-    subtraces = getattr(tracer, "subtraces", None) or []
-    for index, subtrace in enumerate(subtraces):
+    for index, subtrace in enumerate(document.get("subtraces", ())):
         pid = 3 + index
         process = subtrace.get("process") or {}
         events.append({
@@ -242,7 +217,7 @@ def chrome_trace(tracer: Tracer) -> Dict:
             "args": {"name": _process_label(process, index)},
         })
         for span_doc in subtrace.get("spans", ()):
-            _chrome_doc_events(span_doc, pid, events)
+            _chrome_events(span_doc, pid, events)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -258,4 +233,63 @@ def write_trace(path: Union[str, Path], tracer: Tracer) -> Path:
     else:
         document = tracer.to_json()
     atomic_write_text(path, document + "\n")
+    return path
+
+
+def folded(tracer: Tracer) -> str:
+    """Folded-stack flamegraph text (``a;b;c <self-microseconds>``).
+
+    One line per unique span stack, sorted, with integer microsecond
+    self-time weights -- the input format of ``flamegraph.pl`` and
+    compatible renderers.
+    """
+    lines = [f"{';'.join(path['stack'])} "
+             f"{int(round(units.s_to_us(path['self_s'])))}"
+             for path in tracer.profile_dict()["paths"]]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def speedscope(tracer: Tracer) -> Dict:
+    """The profile as a speedscope ``sampled`` document.
+
+    Each unique span stack becomes one sample weighted by its self time
+    in microseconds (https://www.speedscope.app/).
+    """
+    paths = tracer.profile_dict()["paths"]
+    frame_names = sorted({name for path in paths for name in path["stack"]})
+    index = {name: i for i, name in enumerate(frame_names)}
+    samples = [[index[name] for name in path["stack"]] for path in paths]
+    weights = [round(units.s_to_us(path["self_s"]), 3) for path in paths]
+    return {
+        "$schema": "https://www.speedscope.app/file-format-schema.json",
+        "shared": {"frames": [{"name": n} for n in frame_names]},
+        "profiles": [{
+            "type": "sampled",
+            "name": "netpower kernels",
+            "unit": "microseconds",
+            "startValue": 0,
+            "endValue": round(sum(weights), 3),
+            "samples": samples,
+            "weights": weights,
+        }],
+        "exporter": "netpower",
+    }
+
+
+def write_profile(path: Union[str, Path], tracer: Tracer) -> Path:
+    """Write the tracer's profile aggregate to ``path``.
+
+    ``.folded`` paths get flamegraph folded-stack text;
+    ``.speedscope.json`` paths get speedscope JSON; anything else gets
+    the native ``repro.obs.profile/v1`` document.
+    """
+    path = Path(path)
+    if path.suffix == ".folded":
+        atomic_write_text(path, folded(tracer))
+    else:
+        document = (speedscope(tracer)
+                    if path.name.endswith(".speedscope.json")
+                    else tracer.profile_dict())
+        atomic_write_text(path, json.dumps(document, indent=2,
+                                           default=str) + "\n")
     return path

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs import metrics, profile
+from repro.obs import metrics, tracing
 
 #: Component names, in ledger column order.  The first
 #: :data:`N_CONSERVED` sum to wall power; the tail entries are
@@ -116,7 +116,7 @@ class LedgerAccumulator:
         step (usually :attr:`power_buf`); ``total_w`` is the engine's own
         per-router wall power, the conservation reference.
         """
-        with profile.region("kernel.ledger_record"):
+        with tracing.span("kernel.ledger_record"):
             residual = float(np.max(np.abs(
                 power_w[:, :N_CONSERVED].sum(axis=1) - total_w),
                 initial=0.0))

@@ -217,7 +217,14 @@ class NetpowerServer:
                                 endpoint="<bad>", started=time.perf_counter())
             return False
         headers = self._parse_headers(header_block)
-        length = int(headers.get("content-length", "0") or "0")
+        length_text = headers.get("content-length", "0") or "0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            await self._respond(writer, 400,
+                                error_body("bad Content-Length"),
+                                endpoint=target, started=time.perf_counter(),
+                                keep_alive=False)
+            return False
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             await self._respond(writer, 413, error_body("body too large"),
                                 endpoint=target, started=time.perf_counter())

@@ -9,13 +9,10 @@ whose sample axis is the batch -- column ``k`` is request ``k``.
 Bit-determinism across batch widths
 -----------------------------------
 
-numpy's ``sum(axis=0)`` over a C-contiguous ``(members, K)`` matrix is
-a sequential row fold for ``K >= 2`` but switches to pairwise
-summation when ``K == 1`` -- which would make a request's floats
-depend on who else arrived in the same tick.  The batcher therefore
-pads every single-entry batch with a duplicate column so the fold is
-*always* the ``K >= 2`` sequential one; a column is then a pure
-function of its own entry, and the cheap tier's scalar fold
+``predict_trace`` folds each class group's member rows sequentially,
+so a column is a pure function of its own entry whatever the batch
+width -- a request's floats never depend on who else arrived in the
+same tick -- and the cheap tier's scalar fold
 (:mod:`repro.serve.cache`) reproduces it bit-for-bit.
 """
 
@@ -45,18 +42,16 @@ def evaluate_group(model: PowerModel,
     """One matrix call for a batch of structurally identical entries."""
     first = entries[0]
     members = first.resolved
-    n = len(entries)
-    padded = entries if n >= 2 else entries + [entries[0]]
     if not members:
         values = predict_trace(
             model, [],
             assume_unplugged_when_idle=first.assume_unplugged_when_idle,
             active_pps_threshold=first.active_pps_threshold,
-            n_samples=len(padded))
-        return [float(v) for v in values[:n]]
+            n_samples=len(entries))
+        return [float(v) for v in values]
     interfaces = []
     for j, member in enumerate(members):
-        columns = [entry.resolved[j] for entry in padded]
+        columns = [entry.resolved[j] for entry in entries]
         interfaces.append(DeployedInterface(
             name=f"m{j}", trx_name=member.trx_name,
             octet_rate_rx=np.array([c.oct_rx for c in columns]),
@@ -68,7 +63,7 @@ def evaluate_group(model: PowerModel,
         model, interfaces,
         assume_unplugged_when_idle=first.assume_unplugged_when_idle,
         active_pps_threshold=first.active_pps_threshold)
-    return [float(v) for v in values[:n]]
+    return [float(v) for v in values]
 
 
 class PredictBatcher:

@@ -4,11 +4,10 @@ A cache entry is the scalar power contribution of one interface --
 ``(router model, resolved class, flags, quantised two-direction
 rates) -> watts`` -- computed with exactly the IEEE operation sequence
 :func:`~repro.core.prediction.predict_trace` applies elementwise to a
-matrix column.  Assembly then replays the matrix call's reduction
-order (a sequential row fold per class group, groups in canonical
-order, base power first), so a cache-served response is bit-equal to
-the full tier's.  See :mod:`repro.serve.batching` for why the fold is
-sequential.
+matrix column.  Assembly then replays that function's own reduction
+order (its explicit sequential row fold per class group, groups in
+canonical order, base power first), so a cache-served response is
+bit-equal to the full tier's.
 """
 
 from __future__ import annotations

@@ -21,17 +21,15 @@ rows go to a sibling ``*.bench.json`` file whose layout follows the
 :mod:`repro.bench` schema v6 case entries (one engine key
 per row; the other stays absent).
 
-When tracing is active (``--trace-out``), every job runs under its own
-:class:`~repro.obs.tracing.Tracer`; workers ship the per-job span tree
-home over the result queue and the parent stitches the documents into
-its tracer as ``subtraces`` in sorted job-key order -- one
-``repro.obs.trace/v2`` document whose Chrome export renders each job as
-its own pid row, byte-identical across worker counts modulo the
-wall-clock readings inside.  Kernel profiles (``--profile-out``) ship
-the same way: each job runs under its own
-:class:`~repro.obs.profile.Profiler` and the parent merges them in
-sorted-key order, so sweep-wide kernel totals are complete at any
-worker count.
+When a tracer is active (``--trace-out`` / ``--profile-out``), every
+job runs under its own :class:`~repro.obs.tracing.Tracer` with the same
+views; workers ship the finished tracer home over the result queue and
+the parent merges them in sorted job-key order.  The profile totals are
+then complete at any worker count, and with a timeline each job's span
+tree is stitched in as a subtrace -- one ``repro.obs.trace/v2``
+document whose Chrome export renders each job as its own pid row,
+byte-identical across worker counts modulo the wall-clock readings
+inside.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from repro.network import (
     SetAdminState,
     supports_vectorized,
 )
-from repro.obs import metrics, profile, tracing
+from repro.obs import metrics, tracing
 from repro.obs.logging import get_logger
 from repro.sleep import Hypnos, HypnosConfig, plan_savings
 from repro.sweep.matrix import (
@@ -213,75 +211,46 @@ def run_job(spec: JobSpec, root_seed: int, engine: str = "auto",
 
 def _execute_job(spec: JobSpec, root_seed: int, engine: str,
                  collect_metrics: bool, attribution: bool,
-                 capture_trace: bool = False,
-                 trace_id: Optional[str] = None,
-                 capture_profile: bool = False,
+                 timeline: Optional[bool] = None,
                  ) -> Tuple[str, str, object, object, Optional[Dict],
-                            Optional[Dict],
-                            Optional[profile.Profiler]]:
+                            Optional[tracing.Tracer]]:
     """One job, optionally under a private registry; never raises.
 
-    With ``capture_trace``, the job runs under a fresh per-job
+    ``timeline`` is ``None`` when the parent has no tracer.  Otherwise
+    the job runs under a fresh per-job
     :class:`~repro.obs.tracing.Tracer` labelled with the job key and
-    worker OS pid, and the exported span tree rides home as the sixth
-    tuple slot -- the same code path inline and in a worker process, so
-    the stitched document's *shape* does not depend on worker count.
-    With ``capture_profile``, it likewise runs under a fresh per-job
-    :class:`~repro.obs.profile.Profiler` that rides home as the seventh
-    slot for the parent to merge, so ``--profile-out`` sees sweep-wide
-    kernel totals at any worker count.
+    worker OS pid, keeping a span tree iff ``timeline``, and the
+    finished tracer rides home as the sixth tuple slot for the parent
+    to merge -- the same code path inline and in a worker process, so
+    neither view depends on worker count.
     """
     try:
         tracer: Optional[tracing.Tracer] = None
-        scope = _KEEP_TRACER
-        if capture_trace:
+        if timeline is not None:
             tracer = tracing.Tracer(
-                trace_id=trace_id,
-                process={"job": spec.key, "os_pid": os.getpid()})
-            scope = tracing.use_tracer(tracer)
-        prof = profile.Profiler() if capture_profile else None
-        prof_scope = (profile.use_profiler(prof) if capture_profile
-                      else _KEEP_TRACER)
-        with scope:
-            with prof_scope:
-                if collect_metrics:
-                    with metrics.use_registry(
-                            metrics.MetricsRegistry()) as registry:
-                        entry, bench_row = run_job(spec, root_seed,
-                                                   engine, attribution)
-                    state = registry.snapshot_state()
-                else:
+                trace_id=f"sweep-{root_seed}",
+                process={"job": spec.key, "os_pid": os.getpid()},
+                timeline=timeline)
+        with tracing.use_tracer(tracer):
+            if collect_metrics:
+                with metrics.use_registry(
+                        metrics.MetricsRegistry()) as registry:
                     entry, bench_row = run_job(spec, root_seed, engine,
                                                attribution)
-                    state = None
-        trace_doc = tracer.to_dict() if tracer is not None else None
-        return ("ok", spec.key, entry, bench_row, state, trace_doc,
-                prof)
+                state = registry.snapshot_state()
+            else:
+                entry, bench_row = run_job(spec, root_seed, engine,
+                                           attribution)
+                state = None
+        return ("ok", spec.key, entry, bench_row, state, tracer)
     except Exception:
         return ("error", spec.key, traceback.format_exc(), None, None,
-                None, None)
-
-
-class _KeepTracerContext:
-    """No-op stand-in for ``use_tracer`` when not capturing traces."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_KEEP_TRACER = _KeepTracerContext()
+                None)
 
 
 def _worker_main(task_queue, result_queue, root_seed: int, engine: str,
                  collect_metrics: bool, attribution: bool,
-                 capture_trace: bool = False,
-                 trace_id: Optional[str] = None,
-                 capture_profile: bool = False) -> None:
+                 timeline: Optional[bool] = None) -> None:
     """Worker process loop: pull specs until the ``None`` sentinel."""
     while True:
         spec = task_queue.get()
@@ -289,8 +258,7 @@ def _worker_main(task_queue, result_queue, root_seed: int, engine: str,
             return
         result_queue.put(
             _execute_job(spec, root_seed, engine, collect_metrics,
-                         attribution, capture_trace, trace_id,
-                         capture_profile))
+                         attribution, timeline))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -451,19 +419,17 @@ def run_sweep(matrix: ScenarioMatrix,
     n_workers = max(1, min(workers, len(to_run)))
     collect_metrics = metrics.enabled()
     # Captured parent-side: forked workers inherit a *copy* of the
-    # parent tracer, so span trees must ship home explicitly.
-    capture_trace = tracing.enabled()
-    trace_id = f"sweep-{root_seed}" if capture_trace else None
-    capture_profile = profile.enabled()
+    # parent tracer, so per-job tracers must ship home explicitly.
+    tracer = tracing.get_tracer()
+    timeline = tracer.timeline if tracer is not None else None
 
     bench_rows: Dict[str, Dict] = {}
     metric_states: Dict[str, Dict] = {}
-    job_traces: Dict[str, Dict] = {}
-    job_profiles: Dict[str, profile.Profiler] = {}
+    job_tracers: Dict[str, tracing.Tracer] = {}
     failures: Dict[str, str] = {}
 
     def absorb(status: str, key: str, payload, bench_row, state,
-               trace_doc, job_prof) -> None:
+               job_tracer) -> None:
         if status != "ok":
             failures[key] = payload
             M_JOBS.labels(status="error").inc()
@@ -473,10 +439,8 @@ def run_sweep(matrix: ScenarioMatrix,
         bench_rows[key] = bench_row
         if state is not None:
             metric_states[key] = state
-        if trace_doc is not None:
-            job_traces[key] = trace_doc
-        if job_prof is not None:
-            job_profiles[key] = job_prof
+        if job_tracer is not None:
+            job_tracers[key] = job_tracer
         M_JOBS.labels(status="ok").inc()
         if output is not None:
             _write_report(output, _report_document(
@@ -496,8 +460,7 @@ def run_sweep(matrix: ScenarioMatrix,
             for spec in to_run:
                 absorb(*_execute_job(spec, root_seed, engine,
                                      collect_metrics, attribution,
-                                     capture_trace, trace_id,
-                                     capture_profile))
+                                     timeline))
         else:
             context = multiprocessing.get_context()
             task_queue = context.Queue()
@@ -510,8 +473,7 @@ def run_sweep(matrix: ScenarioMatrix,
                 context.Process(
                     target=_worker_main,
                     args=(task_queue, result_queue, root_seed, engine,
-                          collect_metrics, attribution, capture_trace,
-                          trace_id, capture_profile),
+                          collect_metrics, attribution, timeline),
                     daemon=True)
                 for _ in range(n_workers)
             ]
@@ -535,20 +497,14 @@ def run_sweep(matrix: ScenarioMatrix,
         # After the merge: worker snapshots carry every declared gauge
         # (including this one, at zero) and gauges merge last-writer-wins.
         M_WORKERS.set(n_workers)
-        # Stitch per-job span trees into the parent tracer in sorted
-        # job-key order -- the document's structure is then a function
-        # of the jobs alone, not of worker count or completion order.
-        tracer = tracing.get_tracer()
-        if tracer is not None and job_traces:
-            tracer.trace_id = trace_id
-            tracer.subtraces.extend(
-                job_traces[key] for key in sorted(job_traces))
-        # Merge per-job kernel profiles the same way, so --profile-out
-        # reports sweep-wide totals regardless of worker count.
-        session_prof = profile.get_profiler()
-        if session_prof is not None:
-            for key in sorted(job_profiles):
-                session_prof.merge(job_profiles[key])
+        # Merge per-job tracers (profile totals, plus each span tree as
+        # a subtrace) in sorted job-key order -- both views are then a
+        # function of the jobs alone, not of worker count or completion
+        # order.
+        if tracer is not None and job_tracers:
+            tracer.trace_id = f"sweep-{root_seed}"
+            for key in sorted(job_tracers):
+                tracer.merge(job_tracers[key])
 
     if bench_rows and (bench_output is not None or output is not None):
         bench_path = (Path(bench_output) if bench_output is not None

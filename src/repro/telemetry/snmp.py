@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.hardware.psu import PsuSensorReading
 from repro.hardware.router import Counters, PsuSensorQuirk, VirtualRouter
-from repro.obs import profile
+from repro.obs import tracing
 from repro.telemetry.traces import CounterSeries, InterfaceTrace, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -194,7 +194,7 @@ class SnmpCollector:
         true wall power; hosts present in it skip the per-router wall
         recomputation (see :meth:`SnmpAgent.poll_power`).
         """
-        with profile.region("kernel.snmp_poll"):
+        with tracing.span("kernel.snmp_poll"):
             self._timestamps.append(timestamp_s)
             for hostname, agent in self.agents.items():
                 true_in = (None if true_power_by_host is None
@@ -260,7 +260,7 @@ class SnmpCollector:
         recorded values match :meth:`record` bit for bit.  ``hostnames``
         must be the fleet order the power column is indexed by.
         """
-        with profile.region("kernel.snmp_poll"):
+        with tracing.span("kernel.snmp_poll"):
             self._timestamps.append(timestamp_s)
             wall = true_power_w.tolist()
             for (hostname, samples, router, detailed), true_in in zip(

@@ -1,4 +1,4 @@
-"""NP-OBS fixtures: span/region names must be string literals."""
+"""NP-OBS fixtures: span names must be string literals."""
 
 import textwrap
 
@@ -20,9 +20,9 @@ def ids(result) -> list:
 class TestLiteralNamesPass:
     @pytest.mark.parametrize("call", [
         'tracing.span("sim.run", engine="vector")',
-        'profile.region("kernel.wall_power")',
+        'tracing.span("kernel.wall_power")',
         'span("sweep.job", key=key)',
-        'region("kernel.refresh")',
+        'span("kernel.refresh")',
         'tracer.span("bench.case", case=name)',
     ])
     def test_literal_first_argument(self, call):
@@ -30,7 +30,7 @@ class TestLiteralNamesPass:
             """Mod."""
 
 
-            def f(tracing, profile, tracer, span, region, key, name):
+            def f(tracing, tracer, span, key, name):
                 """F."""
                 with {call}:
                     pass
@@ -55,17 +55,16 @@ class TestLiteralNamesPass:
 class TestDynamicNamesFlagged:
     @pytest.mark.parametrize("call,hint", [
         ('tracing.span(f"cli.{name}")', "f-string"),
-        ("profile.region(name)", "variable"),
+        ("tracer.span(name)", "variable"),
         ('span("kernel." + suffix)', "computed string"),
-        ('region(make_name())', "call result"),
+        ('tracing.span(make_name())', "call result"),
     ])
     def test_dynamic_first_argument(self, call, hint):
         result = check(f'''
             """Mod."""
 
 
-            def f(tracing, profile, span, region, name, suffix,
-                  make_name):
+            def f(tracing, tracer, span, name, suffix, make_name):
                 """F."""
                 with {call}:
                     pass

@@ -132,6 +132,24 @@ class TestPredictTrace:
         trace = predict_trace(ncs_model, [make_interface()])
         assert value == pytest.approx(trace[3])
 
+    def test_single_sample_is_bit_equal_to_the_full_trace(self, ncs_model):
+        # Twelve same-class members: enough rows that a pairwise column
+        # sum would reorder the additions for a one-sample call.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            ifaces = [
+                DeployedInterface(
+                    name=f"Eth0/{i}", trx_name="QSFP28-100G-DAC",
+                    octet_rate_rx=rng.uniform(0, 1e9, 4),
+                    octet_rate_tx=rng.uniform(0, 1e9, 4),
+                    packet_rate_rx=rng.uniform(0, 1e6, 4),
+                    packet_rate_tx=rng.uniform(0, 1e6, 4))
+                for i in range(12)]
+            trace = predict_trace(ncs_model, ifaces)
+            for index in range(4):
+                assert predict_instant(ncs_model, ifaces, index) == \
+                    trace[index]
+
     def test_predict_instant_empty_inventory(self, ncs_model):
         value = predict_instant(ncs_model, [], index=2, n_samples=4)
         assert value == ncs_model.p_base_w.value

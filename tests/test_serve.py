@@ -254,6 +254,19 @@ def test_batch_width_never_changes_a_column():
     assert alone == crowded
 
 
+def test_single_entry_of_a_wide_class_matches_the_cache():
+    """A lone entry with many same-class members folds like the cache."""
+    service = shared_service()
+    model_name = first_model()
+    model = service.models[model_name]
+    query = parse_predict_request(
+        json.loads(predict_body(model_name, n_ifaces=12)),
+        octet_quantum=125.0, packet_quantum=1.0).routers[0]
+    cache = PredictionCache()
+    cache.insert(query, model)
+    assert evaluate_group(model, [query]) == [cache.lookup(query, model)]
+
+
 # -- schema parsing -----------------------------------------------------------
 
 
@@ -336,6 +349,26 @@ def test_endpoint_statuses():
         for method, path, body, expected in checks:
             status, _headers, payload = await http(port, method, path, body)
             assert status == expected, (method, path, status, payload)
+
+    run_with_server(scenario)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_gets_400_and_close(length):
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.bound_port)
+        try:
+            writer.write(f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=10)
+        finally:
+            writer.close()
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(payload)["error"] == "bad Content-Length"
 
     run_with_server(scenario)
 
