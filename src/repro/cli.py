@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from typing import List, Optional
 
@@ -476,13 +477,20 @@ def _cmd_sleep_study(args) -> int:
     from repro.network import FleetTrafficModel, build_switch_like_network
     from repro.sleep import Hypnos, HypnosConfig, plan_savings
 
+    if not (math.isfinite(args.days) and args.days >= 0):
+        _err(f"error: --days must be finite and >= 0, got {args.days:g}")
+        return 2
+    try:
+        config = HypnosConfig(max_utilisation=args.max_utilisation)
+    except ValueError as exc:
+        _err(f"error: --max-utilisation: {exc}")
+        return 2
     rng = np.random.default_rng(args.seed)
     network = build_switch_like_network(rng=rng)
     traffic = FleetTrafficModel(network,
                                 rng=np.random.default_rng(args.seed + 1),
                                 n_demands=800)
-    hypnos = Hypnos(network, traffic.matrix,
-                    HypnosConfig(max_utilisation=args.max_utilisation))
+    hypnos = Hypnos(network, traffic.matrix, config)
     plan = hypnos.plan(0, units.days(args.days))
     reference = network.total_wall_power_w()
     estimate = plan_savings(network, plan, reference)

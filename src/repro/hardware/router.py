@@ -26,6 +26,7 @@ of the paper's methodology, offsets included.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -36,6 +37,7 @@ from repro import units
 from repro.activity import carrying_traffic
 from repro.hardware.catalog import (
     InterfaceClassTruth,
+    PsuConfig,
     PsuSensorQuirk,
     RouterModelSpec,
 )
@@ -375,6 +377,40 @@ def disconnect(port: Port) -> None:
 _hostname_counter = itertools.count(1)
 
 
+def nominal_psu_group(psu: PsuConfig) -> PSUGroup:
+    """PSUs of a model as shipped, each at the *nominal* deviation.
+
+    See the module docstring: the catalog's power terms are
+    wall-referred, so the truth engine inverts this nominal curve to
+    obtain DC demand.
+    """
+    model = PSUModel(name=f"nominal-PSU-{int(psu.capacity_w)}W",
+                     capacity_w=psu.capacity_w,
+                     curve=rating_curve(psu.rating), rating=psu.rating)
+    return PSUGroup(instances=[
+        PSUInstance(model=model, efficiency_offset=psu.offset_mean,
+                    serial=f"nominal{i}")
+        for i in range(psu.count)])
+
+
+@functools.lru_cache(maxsize=None)
+def inversion_grid(psu: PsuConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """``(wall_w, dc_w)``: the nominal PSU curve sampled for inversion.
+
+    A monotone 512-point grid over 0-95 % of the group's capacity.  It
+    depends only on ``psu``, so it is built once per configuration and
+    shared, read-only, by every router and fleet state that uses it.
+    The cache holds one entry per distinct configuration in use, a few
+    dozen for the whole catalog.
+    """
+    group = nominal_psu_group(psu)
+    dc_grid = np.linspace(0.0, 0.95 * group.total_capacity_w, 512)
+    wall_grid = np.array([group.wall_power(dc) for dc in dc_grid])
+    wall_grid.flags.writeable = False
+    dc_grid.flags.writeable = False
+    return wall_grid, dc_grid
+
+
 class VirtualRouter:
     """A simulated router with ground-truth power behaviour.
 
@@ -408,7 +444,6 @@ class VirtualRouter:
                 self.ports.append(Port(self, index, group.port_type, name))
                 index += 1
         self.psu_group = self._build_psu_group()
-        self._nominal_group = self._build_nominal_group()
         self._inversion_grid: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Extra fan power from environment events (e.g. the Fig. 8 OS
         #: update that bumped fan speeds by 45 W).
@@ -454,34 +489,20 @@ class VirtualRouter:
         ]
         return PSUGroup(instances=instances)
 
-    def _build_nominal_group(self) -> PSUGroup:
-        """PSUs carrying this model's *nominal* efficiency deviation.
-
-        See the module docstring: the catalog's power terms are
-        wall-referred, so the truth engine inverts this nominal curve to
-        obtain DC demand.
-        """
-        cfg = self.spec.psu
-        model = self.psu_group.instances[0].model
-        instances = [
-            PSUInstance(model=model, efficiency_offset=cfg.offset_mean,
-                        serial=f"{self.hostname}-nominal{i}")
-            for i in range(cfg.count)
-        ]
-        return PSUGroup(instances=instances)
+    @property
+    def _nominal_group(self) -> PSUGroup:
+        """PSUs carrying this model's *nominal* efficiency deviation."""
+        return nominal_psu_group(self.spec.psu)
 
     def _dc_from_wall_referred(self, wall_referred_w: float) -> float:
         """Invert the nominal PSU curve: wall-referred watts -> DC watts.
 
-        Uses a lazily-built monotone interpolation grid; accurate to well
-        under 0.01 W across the device's operating range.
+        Interpolates on the :func:`inversion_grid` of the model's PSU
+        configuration, fetched on first use; accurate to well under
+        0.01 W across the operating range.
         """
         if self._inversion_grid is None:
-            capacity = self._nominal_group.total_capacity_w
-            dc_grid = np.linspace(0.0, 0.95 * capacity, 512)
-            wall_grid = np.array(
-                [self._nominal_group.wall_power(dc) for dc in dc_grid])
-            self._inversion_grid = (wall_grid, dc_grid)
+            self._inversion_grid = inversion_grid(self.spec.psu)
         wall_grid, dc_grid = self._inversion_grid
         return float(np.interp(wall_referred_w, wall_grid, dc_grid))
 

@@ -38,7 +38,8 @@ Contracts that keep the fast path exactly equivalent to the object path:
 * **Identical arithmetic where it matters.**  Elementwise array formulas
   mirror the scalar expressions' association order, counter accumulation
   replicates ``int(prev + inc)`` truncation via ``np.floor``, and the
-  DC-inversion interpolation reuses each router's own ``_inversion_grid``.
+  DC-inversion interpolation runs on the grid the routers share
+  (``hardware.router.inversion_grid``).
   Remaining differences (pairwise vs. sequential summation, fused
   constant factors) stay within ~1e-12 relative error; the equivalence
   suite asserts 1e-9.
@@ -59,8 +60,10 @@ import numpy as np
 
 from repro import units
 from repro.activity import carrying_traffic_mask
+from repro.hardware.catalog import PsuConfig
 from repro.hardware.psu import QuadraticLossCurve, ScaledLossCurve, SharingPolicy
-from repro.hardware.router import OfferedTraffic, Port, VirtualRouter
+from repro.hardware.router import (OfferedTraffic, Port, VirtualRouter,
+                                   inversion_grid)
 from repro.obs import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -475,29 +478,16 @@ class FleetState:
         # object path's noise_std_w > 0 guard skips the same draws).
         self._noise_idx = [i for i in range(self.n_routers)
                            if self.noise_std[i] > 0.0]
-        # Per-router wall->DC inversion grids (reuse each router's own
-        # lazily built grid so interpolation matches np.interp on it).
-        # The grid depends only on the *nominal* PSU group, which is a
-        # pure function of the router model, so routers of one model
-        # share a single grid pair and the batched inversion works on
-        # one model group at a time instead of a dense (routers x grid)
-        # matrix.
-        grid_by_model: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        members: Dict[str, List[int]] = {}
+        # Wall->DC inversion: the routers' shared grid of their PSU
+        # configuration, one group of routers per grid, so the batched
+        # inversion works group by group instead of on a dense
+        # (routers x grid) matrix.
+        members: Dict[PsuConfig, List[int]] = {}
         for i, router in enumerate(self.routers):
-            cached = grid_by_model.get(router.spec.name)
-            if router._inversion_grid is None:
-                if cached is None:
-                    router._dc_from_wall_referred(0.0)
-                else:
-                    router._inversion_grid = cached
-            if cached is None:
-                grid_by_model[router.spec.name] = router._inversion_grid
-            members.setdefault(router.spec.name, []).append(i)
+            members.setdefault(router.spec.psu, []).append(i)
         self._grid_groups: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (np.array(members[name], dtype=np.int64),
-             grid_by_model[name][0], grid_by_model[name][1])
-            for name in grid_by_model]
+            (np.array(indices, dtype=np.int64), *inversion_grid(psu))
+            for psu, indices in members.items()]
 
     def _psu_rows_of(self, i: int) -> List[Tuple[float, Tuple[float, ...],
                                                  float, float, float,
@@ -756,7 +746,7 @@ class FleetState:
         """Bytes held by the columnar arrays (the object fleet excluded).
 
         ``bytes_total`` sums every NumPy column plus the shared
-        per-model inversion grids; ``bytes_per_router`` divides by fleet
+        inversion grids; ``bytes_per_router`` divides by fleet
         size -- the figure the bench report tracks so the columnar
         footprint provably stays linear in fleet size.
         """
@@ -934,12 +924,12 @@ class FleetState:
     def _dc_from_wall_referred(self, wall_ref: np.ndarray) -> np.ndarray:
         """Batched equivalent of ``VirtualRouter._dc_from_wall_referred``.
 
-        Works one model group at a time (routers of a model share one
-        inversion grid): ``np.searchsorted(side="left")`` counts grid
-        points strictly below each value -- exactly the dense form's
-        ``(grids < wall).sum(axis=1)`` -- so the interpolation arithmetic
-        is element-for-element identical at a fraction of the memory
-        traffic.
+        Works one grid group at a time (routers of one PSU configuration
+        share one inversion grid): ``np.searchsorted(side="left")``
+        counts grid points strictly below each value -- exactly the dense
+        form's ``(grids < wall).sum(axis=1)`` -- so the interpolation
+        arithmetic is element-for-element identical at a fraction of the
+        memory traffic.
         """
         dc = np.empty(self.n_routers)
         for indices, wall_grid, dc_grid in self._grid_groups:

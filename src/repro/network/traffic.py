@@ -99,7 +99,6 @@ class TrafficMatrix:
         self.demands = list(demands)
         self._links_by_id: Dict[int, Link] = {
             l.link_id: l for l in network.internal_links()}
-        self.graph = network.internal_graph()
         #: demand index -> list of link ids (None when unroutable).
         self.paths: List[Optional[List[int]]] = []
         self._route_all()
@@ -125,10 +124,11 @@ class TrafficMatrix:
                 for a, b in zip(nodes, nodes[1:])]
 
     def _route_all(self) -> None:
+        graph = self.network.internal_graph()
         loads: Dict[int, float] = {}
         self.paths = []
         for demand in self.demands:
-            path = self._route_demand(self.graph, demand, loads)
+            path = self._route_demand(graph, demand, loads)
             self.paths.append(path)
             if path:
                 for link_id in path:
@@ -148,21 +148,26 @@ class TrafficMatrix:
         """A new matrix routed on the topology minus ``removed`` link ids.
 
         Raises ``ValueError`` if any demand becomes unroutable -- the
-        sleeping algorithm must never disconnect traffic.
+        sleeping algorithm must never disconnect traffic.  Demands whose
+        route avoids ``removed`` keep it; the reduced topology is built
+        only once some demand has to move, and each moved demand picks
+        parallel links by the loads of the demands before it.
         """
         survivor = TrafficMatrix.__new__(TrafficMatrix)
         survivor.network = self.network
         survivor.demands = self.demands
         survivor._links_by_id = {
             k: v for k, v in self._links_by_id.items() if k not in removed}
-        survivor.graph = self.network.internal_graph(exclude=removed)
         survivor.paths = []
+        graph: Optional[nx.MultiGraph] = None
         loads: Dict[int, float] = {}
         for demand, old_path in zip(self.demands, self.paths):
-            if old_path is not None and not (set(old_path) & removed):
+            if old_path is not None and removed.isdisjoint(old_path):
                 path = old_path  # untouched demands keep their route
             else:
-                path = survivor._route_demand(survivor.graph, demand, loads)
+                if graph is None:
+                    graph = self.network.internal_graph(exclude=removed)
+                path = survivor._route_demand(graph, demand, loads)
                 if path is None:
                     raise ValueError(
                         f"demand {demand.src}->{demand.dst} unroutable "

@@ -18,10 +18,9 @@ so the sleeping set follows the diurnal traffic curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import units
 from repro.network.topology import ISPNetwork
@@ -47,6 +46,12 @@ class HypnosConfig:
     #: operationally realistic setting and yields the paper's ~1/3
     #: sleepable share; ``False`` sleeps more aggressively.
     require_redundancy: bool = True
+
+    def __post_init__(self):
+        if not (math.isfinite(self.max_utilisation)
+                and self.max_utilisation > 0):
+            raise ValueError(f"max utilisation must be finite and > 0, "
+                             f"got {self.max_utilisation}")
 
 
 @dataclass
@@ -92,6 +97,11 @@ class SleepPlan:
         return out
 
 
+#: A trial's rerouted matrix with its link loads; None when the trial
+#: disconnects the routers or strands a demand.
+_Outcome = Optional[Tuple[TrafficMatrix, Dict[int, float]]]
+
+
 class Hypnos:
     """The greedy link-sleeping planner."""
 
@@ -101,39 +111,101 @@ class Hypnos:
         self.matrix = matrix
         self.config = config if config is not None else HypnosConfig()
         self._links = {l.link_id: l for l in network.internal_links()}
+        self._capacity_bps = {link_id: units.gbps_to_bps(link.speed_gbps)
+                              for link_id, link in self._links.items()}
+        # The collapsed router graph: each link's router pair, the number
+        # of internal links per pair, and every router's distinct
+        # neighbours (self-loops never connect anything, so they are left
+        # out).  A pair is an edge while at least one of its links is up.
+        self._pair_of: Dict[int, Tuple[str, str]] = {}
+        self._pair_links: Dict[Tuple[str, str], int] = {}
+        self._neighbours: Dict[str, List[Tuple[str, Tuple[str, str]]]] = {
+            hostname: [] for hostname in network.routers}
+        for link_id, link in self._links.items():
+            a, b = link.a.hostname, link.b.hostname
+            pair = (a, b) if a <= b else (b, a)
+            self._pair_of[link_id] = pair
+            if pair not in self._pair_links:
+                self._pair_links[pair] = 0
+                if a != b:
+                    self._neighbours.setdefault(a, []).append((b, pair))
+                    self._neighbours.setdefault(b, []).append((a, pair))
+            self._pair_links[pair] += 1
+        #: Trial outcomes of the running :meth:`plan`, keyed by trial set.
+        self._outcomes: Optional[Dict[FrozenSet[int], _Outcome]] = None
 
     # -- helpers ----------------------------------------------------------------
 
     def _stays_connected(self, removed: Set[int]) -> bool:
-        multigraph = self.network.internal_graph(exclude=removed)
-        if not nx.is_connected(nx.Graph(multigraph)):
-            return False
-        if self.config.require_redundancy:
-            # 2-edge-connectivity on the multigraph: parallel links count
-            # as redundancy, so bridges are edges whose node pair has
-            # exactly one surviving link.
-            collapsed = nx.Graph()
-            collapsed.add_nodes_from(multigraph.nodes)
-            for a, b in multigraph.edges():
-                if collapsed.has_edge(a, b):
-                    collapsed[a][b]["multi"] = True
-                else:
-                    collapsed.add_edge(a, b, multi=False)
-            for a, b in nx.bridges(collapsed):
-                if not collapsed[a][b]["multi"]:
-                    return False
-        return True
+        """Whether the routers stay connected without ``removed`` links.
 
-    def _max_utilisation(self, matrix: TrafficMatrix,
-                         removed: Set[int],
+        One iterative low-link depth-first search over the collapsed
+        router graph.  Under ``require_redundancy`` the topology must also
+        stay 2-edge-connected on the multigraph: parallel links count as
+        redundancy, so it fails only on a bridge whose router pair keeps
+        exactly one link.
+        """
+        lost: Dict[Tuple[str, str], int] = {}
+        for link_id in removed:
+            pair = self._pair_of.get(link_id)
+            if pair is not None:
+                lost[pair] = lost.get(pair, 0) + 1
+        alive = self._pair_links
+        redundancy = self.config.require_redundancy
+        neighbours = self._neighbours
+        root = next(iter(neighbours))
+        order = {root: 0}
+        low = {root: 0}
+        stack = [(root, None, None, iter(neighbours[root]))]
+        while stack:
+            node, parent, via, todo = stack[-1]
+            for nbr, pair in todo:
+                if nbr == parent or alive[pair] == lost.get(pair, 0):
+                    continue
+                if nbr in order:
+                    low[node] = min(low[node], order[nbr])
+                    continue
+                order[nbr] = low[nbr] = len(order)
+                stack.append((nbr, node, pair, iter(neighbours[nbr])))
+                break
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+                elif (redundancy and low[node] > order[parent]
+                      and alive[via] - lost.get(via, 0) == 1):
+                    return False
+        return len(order) == len(neighbours)
+
+    def _outcome(self, current: TrafficMatrix, trial: Set[int]) -> _Outcome:
+        """``current`` rerouted without ``trial``, with its link loads.
+
+        Inside :meth:`plan` the outcome is memoised by trial set.
+        """
+        memo = self._outcomes
+        key = frozenset(trial)
+        if memo is not None and key in memo:
+            return memo[key]
+        outcome = None
+        if self._stays_connected(trial):
+            try:
+                rerouted = current.reroute_without(trial)
+            except ValueError:
+                pass  # some demand would be stranded
+            else:
+                outcome = (rerouted, rerouted.base_link_loads())
+        if memo is not None:
+            memo[key] = outcome
+        return outcome
+
+    def _max_utilisation(self, loads: Dict[int, float],
                          demand_multiplier: float) -> float:
-        loads = matrix.base_link_loads()
         worst = 0.0
         for link_id, load in loads.items():
-            if link_id in removed:
-                continue
-            capacity = units.gbps_to_bps(self._links[link_id].speed_gbps)
-            worst = max(worst, load * demand_multiplier / capacity)
+            worst = max(worst, load * demand_multiplier
+                        / self._capacity_bps[link_id])
         return worst
 
     # -- planning ---------------------------------------------------------------------
@@ -145,7 +217,7 @@ class Hypnos:
         committed iff the network stays connected, every displaced demand
         reroutes, and no surviving link exceeds the utilisation cap.
         """
-        if demand_multiplier < 0:
+        if not demand_multiplier >= 0:
             raise ValueError(
                 f"demand multiplier must be >= 0, got {demand_multiplier}")
         current = self.matrix
@@ -160,14 +232,12 @@ class Hypnos:
                     and len(removed) >= self.config.max_sleeping):
                 break
             trial = removed | {link_id}
-            if not self._stays_connected(trial):
+            outcome = self._outcome(current, trial)
+            if outcome is None:
                 continue
-            try:
-                rerouted = current.reroute_without(trial)
-            except ValueError:
-                continue  # some demand would be stranded
-            worst = self._max_utilisation(rerouted, trial, demand_multiplier)
-            if worst > self.config.max_utilisation:
+            rerouted, loads = outcome
+            if (self._max_utilisation(loads, demand_multiplier)
+                    > self.config.max_utilisation):
                 continue
             removed = trial
             current = rerouted
@@ -179,21 +249,42 @@ class Hypnos:
         """Plan a schedule over consecutive windows of a diurnal period.
 
         Windows with the same (quantised) demand level share a sleeping
-        decision, so a month-long plan costs only as many greedy runs as
-        there are distinct demand levels.
+        decision, and the demand levels share their trials: a plan costs
+        one connectivity check and at most one reroute per distinct trial
+        set, plus one cap comparison per level and trial.
+
+        The trial memo is exact.  Candidates are tried in one order that
+        does not depend on the level (ascending base utilisation), and a
+        window commits links in that order.  So the links a trial set
+        holds besides its last candidate in that order are exactly the
+        links committed before it, the matrix it is rerouted from is the
+        outcome of that smaller set, and by induction the rerouted matrix
+        and its loads depend on the trial set alone.  Only the cap
+        comparison depends on the level.  The memo lives for one call;
+        a direct :meth:`plan_window` call runs without it.
         """
+        if not (math.isfinite(window_s) and window_s > 0):
+            raise ValueError(
+                f"window length must be finite and > 0, got {window_s}")
+        if not (math.isfinite(duration_s) and duration_s >= 0):
+            raise ValueError(
+                f"plan duration must be finite and >= 0, got {duration_s}")
         if profile is None:
             profile = DiurnalProfile()
         plan = SleepPlan()
         cache: Dict[float, Set[int]] = {}
         n_windows = int(round(duration_s / window_s))
-        for i in range(n_windows):
-            t0 = start_s + i * window_s
-            mult = profile.multiplier(t0 + window_s / 2.0)
-            level = round(mult, 1)  # quantise to reuse decisions
-            if level not in cache:
-                cache[level] = self.plan_window(level)
-            plan.windows.append(WindowPlan(
-                t_start_s=t0, t_end_s=t0 + window_s,
-                demand_multiplier=level, sleeping=set(cache[level])))
+        self._outcomes = {}
+        try:
+            for i in range(n_windows):
+                t0 = start_s + i * window_s
+                mult = profile.multiplier(t0 + window_s / 2.0)
+                level = round(mult, 1)  # quantise to reuse decisions
+                if level not in cache:
+                    cache[level] = self.plan_window(level)
+                plan.windows.append(WindowPlan(
+                    t_start_s=t0, t_end_s=t0 + window_s,
+                    demand_multiplier=level, sleeping=set(cache[level])))
+        finally:
+            self._outcomes = None
         return plan
