@@ -26,13 +26,11 @@ Dependency-free (stdlib ``ast``/``tokenize``).  Surfaced as
     result = check_paths(["src/"])
     assert result.clean, result.findings
 
-The whole-program families parse the full tree; the incremental cache
-(:func:`check_paths_cached`) keeps warm runs fast by keying per-file
-results on content and dependency-closure hashes.
+Every run is cold and parses the full tree: each file is walked once
+into an index (:class:`~repro.analysis.astutil.NodeIndex`) that every
+rule and the call graph query, so no result cache is needed.
 """
 
-from repro.analysis.cache import (CACHE_SCHEMA, DEFAULT_CACHE_FILE,
-                                  check_paths_cached)
 from repro.analysis.engine import (CheckConfig, CheckResult, FileContext,
                                    ProjectContext, Rule, all_project_rules,
                                    all_rules, check_paths, check_source,
@@ -44,10 +42,8 @@ from repro.analysis.reporters import (REPORT_SCHEMA, render_explain,
 from repro.analysis.suppress import Suppression, parse_suppressions
 
 __all__ = [
-    "CACHE_SCHEMA",
     "CheckConfig",
     "CheckResult",
-    "DEFAULT_CACHE_FILE",
     "FileContext",
     "Finding",
     "ProjectContext",
@@ -58,7 +54,6 @@ __all__ = [
     "all_project_rules",
     "all_rules",
     "check_paths",
-    "check_paths_cached",
     "check_source",
     "check_sources",
     "parse_suppressions",

@@ -140,8 +140,7 @@ class TaintAnalysis:
     flow_hits: List[FlowHit] = field(default_factory=list)
 
     def in_sink_scope(self, path: str) -> bool:
-        """Whether ``path`` is NP-FLOW sink territory (mirrors
-        :attr:`FileContext.in_flow_sink_scope`)."""
+        """Whether ``path``'s functions are NP-FLOW taint sinks."""
         if path in self.config.wallclock_allow:
             return False
         for prefix in self.config.flow_sinks:
@@ -483,21 +482,20 @@ def _hits_inside_sink(analysis: TaintAnalysis,
 def _hits_into_sink(analysis: TaintAnalysis,
                     fn: FunctionInfo) -> List[FlowHit]:
     """Outside code passing a tainted argument into a sink function."""
-    node = fn.node
-    assert node is not None and \
-        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    evaluator = _FunctionEval(analysis, fn)
-    evaluator.run()
-    hits = []
-    for call in ast.walk(node):
-        if not isinstance(call, ast.Call):
-            continue
+    sink_calls = []
+    for call in analysis.graph.body_nodes(fn, ast.Call):
         site = fn.site_index.get((call.lineno, call.col_offset))
         if site is None or site.callee is None:
             continue
         callee = analysis.graph.functions.get(site.callee)
-        if callee is None or not analysis.in_sink_scope(callee.path):
-            continue
+        if callee is not None and analysis.in_sink_scope(callee.path):
+            sink_calls.append((call, site.callee))
+    if not sink_calls:
+        return []
+    evaluator = _FunctionEval(analysis, fn)
+    evaluator.run()
+    hits = []
+    for call, sink in sink_calls:
         taint = evaluator._join(
             [evaluator.expr(arg) for arg in call.args]
             + [evaluator.expr(kw.value) for kw in call.keywords])
@@ -505,5 +503,5 @@ def _hits_into_sink(analysis: TaintAnalysis,
             continue
         hits.append(FlowHit(
             path=fn.path, line=call.lineno, col=call.col_offset,
-            kind=taint.kind, chain=taint.chain + (site.callee,)))
+            kind=taint.kind, chain=taint.chain + (sink,)))
     return hits

@@ -1,7 +1,7 @@
 """The rule engine behind ``netpower check``.
 
-Dependency-free (stdlib ``ast`` + ``tokenize`` only).  Two kinds of
-rules run here:
+No third-party dependencies (stdlib ``ast`` + ``tokenize``, plus the
+repository's own span tracer).  Two kinds of rules run here:
 
 * a **file rule** is a function registered with :func:`rule` that
   inspects one parsed file -- a :class:`FileContext` -- and yields
@@ -15,10 +15,12 @@ rules run here:
   here: they see a wall-clock read laundered through a helper in
   another module, which no per-file rule can.
 
-The engine parses each file once, runs every selected rule, applies
-``# netpower: ignore[...]`` suppressions (:mod:`.suppress`) uniformly
-to both kinds of findings, and returns everything in stable sorted
-order.
+The engine parses each file once and walks it once into a
+:class:`~repro.analysis.astutil.NodeIndex` that every rule and the
+graph query, runs every selected rule, applies ``# netpower:
+ignore[...]`` suppressions (:mod:`.suppress`) uniformly to both kinds
+of findings, and returns everything in stable sorted order.  Each
+stage runs under an ``analysis.*`` span.
 
 Scoping follows the repository's determinism contract:
 
@@ -49,8 +51,10 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
+from repro.analysis.astutil import NodeIndex
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.suppress import Suppression, parse_suppressions
+from repro.obs import tracing
 
 if TYPE_CHECKING:
     from repro.analysis.dataflow import TaintAnalysis
@@ -109,49 +113,29 @@ class CheckConfig:
         return any(rule_id == token or rule_id.startswith(token + "-")
                    for token in self.select)
 
-    def fingerprint(self) -> str:
-        """A stable text form of every scoping knob (cache key part)."""
-        parts = [
-            ",".join(self.det_packages),
-            ",".join(self.wallclock_allow),
-            ",".join(self.unit_literal_exempt),
-            ",".join(self.obs_forwarding_exempt),
-            ",".join(self.flow_sinks),
-            ",".join(self.async_state_exempt),
-            ",".join(self.async_predict_allow),
-            ",".join(self.mut_allow),
-            ",".join(self.select) if self.select is not None else "*",
-        ]
-        return "|".join(parts)
-
 
 @dataclass
 class FileContext:
-    """One parsed file handed to every rule."""
+    """One parsed file handed to every rule.
+
+    ``index`` is built from ``tree`` in one walk; rules and the graph
+    query it rather than walking the tree again.
+    """
 
     path: str  #: package-relative posix path, e.g. ``core/model.py``
     source: str
     tree: ast.Module
     config: CheckConfig
+    index: NodeIndex = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.index = NodeIndex(self.tree)
 
     @property
     def in_det_scope(self) -> bool:
         """Whether the NP-DET family applies to this file."""
         head = self.path.split("/", 1)[0]
         return head in self.config.det_packages
-
-    @property
-    def in_flow_sink_scope(self) -> bool:
-        """Whether this file's functions are NP-FLOW taint sinks."""
-        if self.path in self.config.wallclock_allow:
-            return False
-        for prefix in self.config.flow_sinks:
-            if prefix.endswith("/"):
-                if self.path.startswith(prefix):
-                    return True
-            elif self.path == prefix:
-                return True
-        return False
 
     @property
     def wallclock_allowed(self) -> bool:
@@ -188,7 +172,8 @@ class ProjectContext:
         """The module/symbol resolver and call graph (built lazily)."""
         if self._graph is None:
             from repro.analysis.graph import build_graph
-            self._graph = build_graph(self.files)
+            with tracing.span("analysis.graph"):
+                self._graph = build_graph(self.files)
         return self._graph
 
     @property
@@ -196,7 +181,9 @@ class ProjectContext:
         """The interprocedural taint fixed point (built lazily)."""
         if self._taint is None:
             from repro.analysis.dataflow import analyze
-            self._taint = analyze(self.graph, self.config)
+            graph = self.graph
+            with tracing.span("analysis.taint"):
+                self._taint = analyze(graph, self.config)
         return self._taint
 
 
@@ -279,18 +266,6 @@ def find_rule(rule_id: str) -> Optional[object]:
     return _PROJECT_REGISTRY.get(rule_id)
 
 
-def ruleset_version() -> str:
-    """A stable token naming the loaded rule set (cache invalidation).
-
-    Changes whenever a rule is added, removed, or its summary text is
-    revised -- bump a rule's summary when its behaviour changes so
-    stale cached findings cannot survive a rule edit.
-    """
-    parts = [f"{r.rule_id}={r.summary}" for r in all_rules()]
-    parts += [f"{r.rule_id}={r.summary}" for r in all_project_rules()]
-    return ";".join(sorted(parts))
-
-
 def _load_rule_modules() -> None:
     """Import the rule modules so their decorators register."""
     from repro.analysis import (rules_api, rules_async,  # noqa: F401
@@ -361,7 +336,7 @@ class SuppressionIndex:
         self.path = path
         self.config = config
         self.suppressions = parse_suppressions(source)
-        lines = source.splitlines()
+        lines = source.splitlines() if self.suppressions else []
 
         def effective_line(line: int) -> int:
             text = lines[line - 1].lstrip() if line - 1 < len(lines) else ""
@@ -457,8 +432,7 @@ def run_file_rules(context: FileContext) -> List[Finding]:
 def run_project_rules(project: ProjectContext) -> Dict[str, List[Finding]]:
     """Every enabled project rule; raw findings grouped by file path.
 
-    Every checked path gets an entry (possibly empty), so callers can
-    cache "no findings for this file" as a positive fact.
+    Every checked path gets an entry, possibly empty.
     """
     by_path: Dict[str, List[Finding]] = {path: [] for path in project.files}
     for registered in all_project_rules():
@@ -497,30 +471,36 @@ def check_sources(sources: Mapping[str, str],
 
     Keys are package-relative posix paths; rules use them for scoping,
     so fixture tests pick paths like ``core/snippet.py`` to opt into
-    the deterministic scope.
+    the deterministic scope.  Each stage runs under its own
+    ``analysis.*`` span, so ``--profile-out`` shows where a run goes.
     """
     _load_rule_modules()
     config = config if config is not None else CheckConfig()
     total = CheckResult()
     contexts: Dict[str, FileContext] = {}
-    raw: Dict[str, List[Finding]] = {}
-    for path in sorted(sources):
-        context, parse_finding = parse_file(sources[path], path, config)
-        if context is None:
-            assert parse_finding is not None
-            file_result = CheckResult(paths=[path],
-                                      findings=[parse_finding])
-            total.merge(file_result)
-            continue
-        contexts[path] = context
-        raw[path] = run_file_rules(context)
+    with tracing.span("analysis.parse"):
+        for path in sorted(sources):
+            context, parse_finding = parse_file(sources[path], path,
+                                                config)
+            if context is None:
+                assert parse_finding is not None
+                total.merge(CheckResult(paths=[path],
+                                        findings=[parse_finding]))
+            else:
+                contexts[path] = context
+    with tracing.span("analysis.file_rules"):
+        raw = {path: run_file_rules(context)
+               for path, context in contexts.items()}
     if contexts:
         project = ProjectContext(files=contexts, config=config)
-        for path, project_findings in run_project_rules(project).items():
+        with tracing.span("analysis.project_rules"):
+            by_path = run_project_rules(project)
+        for path, project_findings in by_path.items():
             raw[path].extend(project_findings)
-    for path, findings in raw.items():
-        total.merge(apply_suppressions(path, sources[path], findings,
-                                       config))
+    with tracing.span("analysis.suppressions"):
+        for path, findings in raw.items():
+            total.merge(apply_suppressions(path, sources[path], findings,
+                                           config))
     return total.finalize()
 
 
@@ -556,11 +536,24 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
 
 
 def read_sources(paths: Iterable[object]) -> Dict[str, str]:
-    """Read every ``*.py`` under ``paths`` into a path -> source map."""
+    """Read every ``*.py`` under ``paths`` into a path -> source map.
+
+    Raises :class:`ValueError` when two different files map to one
+    report path (e.g. two ``conftest.py`` outside any ``repro``
+    package), rather than letting one silently replace the other.
+    """
     sources: Dict[str, str] = {}
+    origins: Dict[str, Path] = {}
     for file_path in discover_files([Path(str(p)) for p in paths]):
-        sources[_relative_path(file_path)] = \
-            file_path.read_text(encoding="utf-8")
+        key = _relative_path(file_path)
+        origin = origins.setdefault(key, file_path)
+        if origin != file_path:
+            if origin.resolve() == file_path.resolve():
+                continue  # one file reached by two spellings
+            raise ValueError(
+                f"{origin} and {file_path} both report as {key!r}; "
+                f"check them in separate runs")
+        sources[key] = file_path.read_text(encoding="utf-8")
     return sources
 
 

@@ -30,8 +30,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 
+from repro.analysis.astutil import NodeIndex, dotted_name
 from repro.analysis.engine import FileContext
 
 #: Callables that schedule a coroutine as an independent task.
@@ -43,6 +44,8 @@ _SERVER_TAILS = frozenset(("start_server",))
 _EXECUTOR_TAILS = frozenset(("run_in_executor",))
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+_N = TypeVar("_N", bound=ast.AST)
 
 
 @dataclass
@@ -69,17 +72,6 @@ class CallSite:
     #: Whether the call is a bare expression statement.
     bare: bool = False
 
-    @property
-    def display(self) -> str:
-        """The best human-readable name for the call target."""
-        if self.callee is not None:
-            return self.callee
-        if self.external is not None:
-            return self.external
-        if self.attr_tail is not None:
-            return f"(?).{self.attr_tail}"
-        return "(?)"
-
 
 @dataclass
 class FunctionInfo:
@@ -102,15 +94,6 @@ class FunctionInfo:
     local_types: Dict[str, str] = field(default_factory=dict)
     line: int = 0
 
-    @property
-    def short(self) -> str:
-        """``module:function`` form used in finding messages."""
-        prefix = self.module + "."
-        name = self.qualname
-        if name.startswith(prefix):
-            name = name[len(prefix):]
-        return f"{self.module}.{name}"
-
 
 @dataclass
 class ClassInfo:
@@ -131,6 +114,7 @@ class ModuleInfo:
     name: str  #: dotted module name, e.g. ``repro.serve.app``
     path: str
     tree: ast.Module
+    index: NodeIndex  #: the file's one walk (:class:`FileContext`)
     #: Local alias -> module dotted name (``np`` -> ``numpy``).
     import_aliases: Dict[str, str] = field(default_factory=dict)
     #: Local alias -> dotted symbol (``sleep`` -> ``time.sleep``).
@@ -139,8 +123,6 @@ class ModuleInfo:
     functions: Dict[str, str] = field(default_factory=dict)
     #: Top-level class name -> class qualname.
     classes: Dict[str, str] = field(default_factory=dict)
-    #: Project modules this module imports (dependency closure input).
-    project_imports: List[str] = field(default_factory=list)
 
 
 def module_name_for(path: str) -> str:
@@ -161,7 +143,6 @@ class ProjectGraph:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        self.module_by_path: Dict[str, str] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         #: Async functions spawned as independent tasks, with the
@@ -169,12 +150,6 @@ class ProjectGraph:
         self.task_roots: List[Tuple[str, str]] = []
 
     # -- queries used by the rule modules -----------------------------------
-
-    def functions_in_path(self, path: str) -> List[FunctionInfo]:
-        """Every function defined in one file, in source order."""
-        return sorted((f for f in self.functions.values()
-                       if f.path == path),
-                      key=lambda f: (f.line, f.qualname))
 
     def resolve_project(self, dotted: str) -> Optional[str]:
         """Map a dotted name onto a project function qualname, if any."""
@@ -208,29 +183,12 @@ class ProjectGraph:
                 return candidate if candidate in self.classes else None
         return None
 
-    def import_closure(self, path: str) -> List[str]:
-        """Paths of every module transitively imported by ``path``.
-
-        Restricted to checked modules; includes ``path`` itself.  This
-        is the dependency set whose contents can change the outcome of
-        a graph rule for ``path`` -- the cache's invalidation key.
-        """
-        module = self.module_by_path.get(path)
-        if module is None:
-            return [path]
-        seen: Set[str] = set()
-        stack = [module]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.modules.get(current)
-            if info is None:
-                continue
-            stack.extend(info.project_imports)
-        return sorted(self.modules[m].path for m in seen
-                      if m in self.modules)
+    def body_nodes(self, fn: FunctionInfo,
+                   *types: Type[_N]) -> List[_N]:
+        """Nodes of ``types`` anywhere in a function's definition (nested
+        defs included), in ``ast.walk`` order, read off the file index."""
+        assert fn.node is not None
+        return self.modules[fn.module].index.within(fn.node, *types)
 
 
 def build_graph(files: Mapping[str, FileContext]) -> ProjectGraph:
@@ -240,8 +198,8 @@ def build_graph(files: Mapping[str, FileContext]) -> ProjectGraph:
         context = files[path]
         name = module_name_for(path)
         graph.modules[name] = ModuleInfo(name=name, path=path,
-                                         tree=context.tree)
-        graph.module_by_path[path] = name
+                                         tree=context.tree,
+                                         index=context.index)
     for name in sorted(graph.modules):
         _collect_namespace(graph, graph.modules[name])
     for name in sorted(graph.modules):
@@ -261,14 +219,10 @@ def _collect_namespace(graph: ProjectGraph, module: ModuleInfo) -> None:
                 target = alias.name if alias.asname else \
                     alias.name.split(".")[0]
                 module.import_aliases[local] = target
-                if alias.name in graph.modules:
-                    module.project_imports.append(alias.name)
         elif isinstance(node, ast.ImportFrom):
             base = _import_base(module.name, node)
             if base is None:
                 continue
-            if base in graph.modules:
-                module.project_imports.append(base)
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -276,7 +230,6 @@ def _collect_namespace(graph: ProjectGraph, module: ModuleInfo) -> None:
                 dotted = f"{base}.{alias.name}" if base else alias.name
                 if dotted in graph.modules:
                     module.import_aliases[local] = dotted
-                    module.project_imports.append(dotted)
                 else:
                     module.symbol_aliases[local] = dotted
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -296,7 +249,6 @@ def _collect_namespace(graph: ProjectGraph, module: ModuleInfo) -> None:
                     info.methods[item.name] = method_qual
                     _register_function(graph, module, method_qual, item,
                                        cls=qual)
-    module.project_imports = sorted(set(module.project_imports))
     # The module body itself is a pseudo-function so module-level
     # statements (constant taint, spawn sites) participate.
     graph.functions[f"{module.name}.<module>"] = FunctionInfo(
@@ -389,13 +341,13 @@ def _infer_class_attrs(graph: ProjectGraph, module: ModuleInfo,
             cls = _annotation_class(graph, module, item.annotation)
             if cls is not None:
                 info.attr_types[item.target.id] = cls
-    for item in ast.walk(node):
-        if not isinstance(item, ast.Assign):
-            continue
-        cls = _constructed_class(graph, module, item.value)
+    # First binding in ast.walk order wins (breadth-first: a
+    # statement-level binding beats one nested in an ``if``).
+    for assign in module.index.within(node, ast.Assign):
+        cls = _constructed_class(graph, module, assign.value)
         if cls is None:
             continue
-        for target in item.targets:
+        for target in assign.targets:
             if isinstance(target, ast.Attribute) and \
                     isinstance(target.value, ast.Name) and \
                     target.value.id == "self":
@@ -411,23 +363,12 @@ def _constructed_class(graph: ProjectGraph, module: ModuleInfo,
     if isinstance(func, ast.Name):
         return _resolve_class_name(graph, module, func.id)
     if isinstance(func, ast.Attribute):
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         full = _expand_alias(module, dotted)
         return graph.resolve_class(full) if full else None
     return None
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _expand_alias(module: ModuleInfo, dotted: str) -> Optional[str]:
@@ -468,7 +409,10 @@ class _BodyWalker:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         info = self.graph.functions[qualname]
         self._infer_param_types(info, node)
-        nested = self._nested_defs(node)
+        # Directly nested defs; the first of a name in source order wins.
+        nested: Dict[str, ast.AST] = {}
+        for child in self.module.index.nested_defs(node):
+            nested.setdefault(child.name, child)
         self._nested = nested
         self._current = info
         # Default-argument expressions run at definition time in the
@@ -516,22 +460,6 @@ class _BodyWalker:
         if info.cls is not None:
             info.local_types.setdefault("self", info.cls)
 
-    @staticmethod
-    def _nested_defs(node: ast.AST) -> Dict[str, ast.AST]:
-        """Directly nested defs only -- grandchildren belong to them."""
-        nested: Dict[str, ast.AST] = {}
-
-        def scan(parent: ast.AST) -> None:
-            for child in ast.iter_child_nodes(parent):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                    nested.setdefault(child.name, child)
-                elif not isinstance(child, ast.Lambda):
-                    scan(child)
-
-        scan(node)
-        return nested
-
     def expr_type(self, node: ast.AST,
                   info: Optional[FunctionInfo] = None) -> Optional[str]:
         """The project class an expression evaluates to, if inferable."""
@@ -571,10 +499,20 @@ class _BodyWalker:
         if isinstance(node, ast.Call):
             self._visit_call(node, state)
             return
-        for child in ast.iter_child_nodes(node):
-            child_state = _WalkState(in_executor=state.in_executor,
-                                     spawned=state.spawned)
-            self._visit(child, child_state)
+        # States are never mutated, so the children can share one.  This
+        # loop runs once per node of every body, so it reads the fields
+        # directly (``ast.iter_child_nodes`` order) and skips field-less
+        # leaves such as ``Load`` and ``Add``, whose visit does nothing.
+        child_state = _WalkState(in_executor=state.in_executor,
+                                 spawned=state.spawned)
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        self._visit(item, child_state)
+            elif isinstance(value, ast.AST) and value._fields:
+                self._visit(value, child_state)
 
     def _infer_assign(self, node: ast.Assign) -> None:
         cls = self.expr_type(node.value)
@@ -655,7 +593,7 @@ class _BodyWalker:
             site.external = dotted
             return site
         if isinstance(func, ast.Attribute):
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 expanded = _expand_alias(self.module, dotted)
                 root = (expanded or dotted).split(".", 1)[0]
@@ -704,7 +642,7 @@ class _BodyWalker:
             if cls_info is not None and func.attr in cls_info.methods:
                 return cls_info.methods[func.attr]
             return None
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         expanded = _expand_alias(self.module, dotted)

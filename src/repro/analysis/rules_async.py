@@ -164,7 +164,7 @@ def check_cross_task_state(project: ProjectContext) -> \
                     if qualname in reachable_from[root]}
         if not fn_roots:
             continue
-        for owner, attr, line, col in _self_writes(fn):
+        for owner, attr, line, col in _self_writes(graph, fn):
             key = (owner, attr)
             writes.setdefault(key, []).append(
                 (fn.path, line, col, qualname))
@@ -199,13 +199,12 @@ def _reachable(graph: ProjectGraph, root: str) -> Set[str]:
     return seen
 
 
-def _self_writes(fn: FunctionInfo) -> \
+def _self_writes(graph: ProjectGraph, fn: FunctionInfo) -> \
         Iterator[Tuple[str, str, int, int]]:
     """``self.attr = ...`` / ``self.attr op= ...`` sites in a body."""
     owner = fn.cls or fn.module
-    node = fn.node
-    assert node is not None
-    for stmt in ast.walk(node):
+    for stmt in graph.body_nodes(fn, ast.Assign, ast.AugAssign,
+                                 ast.AnnAssign):
         targets: List[ast.expr] = []
         if isinstance(stmt, ast.Assign):
             targets = list(stmt.targets)

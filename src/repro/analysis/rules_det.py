@@ -16,7 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import dotted_name, is_set_expression
+from repro.analysis.astutil import (NodeIndex, dotted_name,
+                                    is_set_expression)
 from repro.analysis.engine import FileContext, RawFinding, rule
 from repro.analysis.findings import Severity
 
@@ -48,9 +49,7 @@ def check_wallclock(context: FileContext) -> Iterator[RawFinding]:
     """
     if not context.in_det_scope or context.wallclock_allowed:
         return
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in context.index.of_type(ast.Call):
         name = dotted_name(node.func)
         if name is None:
             continue
@@ -79,9 +78,7 @@ def check_ambient_rng(context: FileContext) -> Iterator[RawFinding]:
     """
     if not context.in_det_scope:
         return
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in context.index.of_type(ast.Call):
         name = dotted_name(node.func)
         if name is None:
             continue
@@ -102,9 +99,10 @@ def check_ambient_rng(context: FileContext) -> Iterator[RawFinding]:
             yield node.lineno, node.col_offset, message
 
 
-def _iteration_sites(tree: ast.Module) -> Iterator[ast.expr]:
+def _iteration_sites(index: NodeIndex) -> Iterator[ast.expr]:
     """Every expression iterated by a ``for`` or a comprehension."""
-    for node in ast.walk(tree):
+    for node in index.of_type(ast.For, ast.AsyncFor, ast.ListComp,
+                              ast.SetComp, ast.DictComp, ast.GeneratorExp):
         if isinstance(node, (ast.For, ast.AsyncFor)):
             yield node.iter
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -126,7 +124,7 @@ def check_unsorted_set_iteration(
     """
     if not context.in_det_scope:
         return
-    for iterable in _iteration_sites(context.tree):
+    for iterable in _iteration_sites(context.index):
         target = iterable
         if isinstance(target, ast.Call) and \
                 isinstance(target.func, ast.Name) and \

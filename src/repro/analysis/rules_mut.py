@@ -63,9 +63,8 @@ def check_state_writes(project: ProjectContext) -> \
 
 def _column_writes(graph: ProjectGraph, fn: FunctionInfo) -> \
         Iterator[Tuple[str, int, int]]:
-    node = fn.node
-    assert node is not None
-    for stmt in ast.walk(node):
+    for stmt in graph.body_nodes(fn, ast.Assign, ast.AugAssign,
+                                 ast.AnnAssign):
         targets: List[ast.expr] = []
         if isinstance(stmt, ast.Assign):
             targets = list(stmt.targets)

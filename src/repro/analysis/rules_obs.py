@@ -54,8 +54,8 @@ def check_literal_scope_names(
     """
     if context.obs_forwarding_allowed:
         return
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call) or not node.args:
+    for node in context.index.of_type(ast.Call):
+        if not node.args:
             continue
         name = dotted_name(node.func)
         if name is None or name.rsplit(".", 1)[-1] != "span":

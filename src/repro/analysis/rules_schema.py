@@ -54,9 +54,7 @@ def check_schema_versions(context: FileContext) -> Iterator[RawFinding]:
     """
     if declares_schema_version(context.tree):
         return
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in context.index.of_type(ast.Call):
         name = dotted_name(node.func)
         if name in ("json.dump", "json.dumps"):
             yield (node.lineno, node.col_offset,

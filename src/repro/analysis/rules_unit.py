@@ -37,9 +37,8 @@ def check_scale_literals(context: FileContext) -> Iterator[RawFinding]:
     """
     if context.unit_literals_allowed:
         return
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.BinOp) and \
-                isinstance(node.op, (ast.Mult, ast.Div)):
+    for node in context.index.of_type(ast.BinOp):
+        if isinstance(node.op, (ast.Mult, ast.Div)):
             for operand in (node.left, node.right):
                 if is_scale_literal(operand):
                     yield (operand.lineno, operand.col_offset,
@@ -47,9 +46,9 @@ def check_scale_literals(context: FileContext) -> Iterator[RawFinding]:
                            f"{ast.unparse(operand)} in unit "
                            f"arithmetic; use a named repro.units "
                            f"conversion or constant")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
-                and isinstance(node.left, ast.Constant) \
-                and node.left.value == 10:
+        if isinstance(node.op, ast.Pow) and \
+                isinstance(node.left, ast.Constant) and \
+                node.left.value == 10:
             yield (node.lineno, node.col_offset,
                    "10**n scale factor; use a named repro.units "
                    "conversion or constant")
@@ -82,7 +81,7 @@ def check_mixed_units(context: FileContext) -> Iterator[RawFinding]:
     conversion first.  Multiplication and division are exempt (they
     legitimately change dimension: W x s = J).
     """
-    for node in ast.walk(context.tree):
+    for node in context.index.of_type(ast.BinOp, ast.Compare):
         pairs = []
         if isinstance(node, ast.BinOp) and \
                 isinstance(node.op, (ast.Add, ast.Sub)):
@@ -114,8 +113,8 @@ def check_float_equality(context: FileContext) -> Iterator[RawFinding]:
     (``math.isclose``) or, where exact-zero semantics really are
     intended (a sensor that never reported), suppress with a reason.
     """
-    for node in ast.walk(context.tree):
-        if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+    for node in context.index.of_type(ast.Compare):
+        if not (len(node.ops) == 1
                 and isinstance(node.ops[0], (ast.Eq, ast.NotEq))):
             continue
         for operand in (node.left, node.comparators[0]):

@@ -68,6 +68,8 @@ def _comments(source: str) -> Iterator[Tuple[int, str]]:
 def parse_suppressions(source: str) -> List[Suppression]:
     """Extract every suppression comment from one file's source."""
     suppressions: List[Suppression] = []
+    if "netpower:" not in source:
+        return suppressions  # exact: _PATTERN requires this text
     for line, text in _comments(source):
         match = _PATTERN.search(text)
         if match is None:

@@ -270,11 +270,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="also list suppressed findings")
     check.add_argument("--list-rules", action="store_true",
                        help="list every registered rule and exit")
-    check.add_argument("--no-cache", action="store_true",
-                       help="skip the incremental result cache")
-    check.add_argument("--cache-file", metavar="PATH", default=None,
-                       help="incremental cache location (default: "
-                            ".netpower-check-cache.json)")
     check.add_argument("--explain", metavar="RULE", default=None,
                        help="print one rule's documentation and an "
                             "example finding, then exit")
@@ -1072,10 +1067,10 @@ def _cmd_serve(args) -> int:
 def _cmd_check(args) -> int:
     from pathlib import Path
 
-    from repro.analysis import (CheckConfig, check_paths,
-                                check_paths_cached, render_explain,
-                                render_json, render_rule_listing,
-                                render_text)
+    from repro.analysis import (CheckConfig, check_sources,
+                                render_explain, render_json,
+                                render_rule_listing, render_text)
+    from repro.analysis.engine import read_sources
 
     if args.list_rules:
         _out(render_rule_listing())
@@ -1100,12 +1095,12 @@ def _cmd_check(args) -> int:
     if missing:
         _err(f"error: no such path(s): {', '.join(sorted(missing))}")
         return 2
-    config = CheckConfig(select=select)
-    if args.no_cache:
-        result = check_paths(args.paths, config)
-    else:
-        result, _warm = check_paths_cached(
-            args.paths, config, cache_file=args.cache_file)
+    try:
+        sources = read_sources(args.paths)
+    except ValueError as exc:
+        _err(f"error: {exc}")
+        return 2
+    result = check_sources(sources, CheckConfig(select=select))
     if args.format == "json":
         _out(render_json(result))
     else:

@@ -100,5 +100,48 @@ class TestCheckCommand:
         assert " 0 finding(s)" in out
 
 
+class TestReportPaths:
+    def test_colliding_report_paths_exit_two(self, tmp_path, capsys):
+        # Outside a ``repro`` package a file reports under its bare
+        # name, so two conftest.py files would share one report path.
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "conftest.py").write_text(DIRTY)
+        code = main(["check", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(tmp_path / "a" / "conftest.py") in captured.err
+        assert str(tmp_path / "b" / "conftest.py") in captured.err
+
+    def test_one_file_reached_twice_is_checked_once(self, tree, tmp_path,
+                                                    monkeypatch, capsys):
+        (tree / "dirty.py").write_text(DIRTY)
+        monkeypatch.chdir(tmp_path)
+        code = main(["check", str(tree / "dirty.py"),
+                     "repro/core/dirty.py"])
+        assert code == 1
+        assert "checked 1 file(s): 1 finding(s)" in \
+            capsys.readouterr().out
+
+
+class TestNoSideEffects:
+    def test_check_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        package = tmp_path / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "dirty.py").write_text(DIRTY)
+        (package / "clean.py").write_text(CLEAN)
+        before = sorted(p.relative_to(tmp_path)
+                        for p in tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", str(package)]) == 1
+        assert main(["check", str(package), "--format", "json"]) == 1
+        capsys.readouterr()
+        after = sorted(p.relative_to(tmp_path)
+                       for p in tmp_path.rglob("*"))
+        assert after == before
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

@@ -212,6 +212,45 @@ class TestSanctionedAndKilledTaint:
         assert "raw_hosts" in findings[0].message
 
 
+class TestNestedDefResolution:
+    def test_first_nested_def_in_source_order_wins(self):
+        # Two nested ``helper`` defs at different depths: the call
+        # resolves to the first one a depth-first scan of the body
+        # meets (the one inside the ``if``), not the shallower one.
+        result = check_sources({
+            "obs/clockutil.py": src('''
+                """Helper with two nested defs of one name."""
+                import time
+
+                FLAG = True
+
+
+                def stamp() -> float:
+                    """Stamp."""
+                    if FLAG:
+                        def helper() -> float:
+                            return time.time()
+
+                    def helper() -> float:
+                        return 0.0
+
+                    return helper()
+                '''),
+            "core/model.py": src('''
+                """Core model."""
+                from repro.obs.clockutil import stamp
+
+
+                def predict() -> float:
+                    """Predict."""
+                    return stamp()
+                '''),
+        })
+        findings = flow(result)
+        assert len(findings) == 1
+        assert "repro.obs.clockutil.stamp.helper" in findings[0].message
+
+
 class TestSuppression:
     def test_flow_finding_can_be_suppressed_with_reason(self):
         result = check_sources({

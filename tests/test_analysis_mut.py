@@ -136,5 +136,52 @@ class TestColumnWrites:
         assert mut(result) == []
 
 
+class TestFirstBindingWins:
+    """Attribute types resolve to the first binding ``ast.walk`` meets.
+
+    The walk is breadth-first, so a statement-level binding in a later
+    method beats one nested inside an ``if`` of an earlier method.
+    """
+
+    HOLDER = src('''
+        """Telemetry holder (fixture)."""
+        from repro.network.engine import FleetState
+
+
+        class Other:
+            """Not a FleetState."""
+
+            def __init__(self) -> None:
+                self.static_w = [0.0]
+
+
+        class Holder:
+            """Binds ``state`` twice, at two depths."""
+
+            def early(self, flag: bool) -> None:
+                """Binds an Other one level down."""
+                if flag:
+                    self.state = Other()
+
+            def late(self) -> None:
+                """Binds a FleetState at statement level."""
+                self.state = FleetState()
+
+            def poke(self) -> None:
+                """Writes through the resolved binding."""
+                self.state.static_w[0] = 1.0
+        ''')
+
+    def test_shallower_binding_in_later_method_wins(self):
+        result = check_sources({
+            "network/engine.py": ENGINE,
+            "telemetry/holder.py": self.HOLDER,
+        })
+        findings = mut(result)
+        assert [(f.path, f.line) for f in findings] == \
+            [("telemetry/holder.py", 26)]
+        assert "Holder.poke" in findings[0].message
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

@@ -375,3 +375,25 @@ class TestProfileCommand:
         assert all(table[name]["calls"] == kernels[name]["calls"]
                    for name in table)
         assert not tracing.enabled()
+
+    def test_check_profile_names_each_stage(self, tmp_path, capsys):
+        package = tmp_path / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "model.py").write_text(
+            '"""Model."""\nimport time\n\n\n'
+            'def stamp() -> float:\n'
+            '    """Stamp."""\n'
+            '    return time.time()  # netpower: ignore[NP-DET-001] -- ok\n')
+        argv = ["check", str(package), "--format", "json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        profile_path = tmp_path / "p.json"
+        assert main(argv + ["--profile-out", str(profile_path)]) == 0
+        assert capsys.readouterr().out == plain
+        kernels = json.loads(profile_path.read_text())["kernels"]
+        for name in ("analysis.parse", "analysis.file_rules",
+                     "analysis.graph", "analysis.taint",
+                     "analysis.project_rules", "analysis.suppressions"):
+            assert kernels[name]["calls"] >= 1, name
+        assert kernels["cli.check"]["calls"] == 1
+        assert not tracing.enabled()
