@@ -93,13 +93,6 @@ class CheckConfig:
     flow_sinks: Tuple[str, ...] = (
         "core/", "network/", "sweep/", "validation/", "monitor/",
         "serve/schemas.py", "serve/cache.py", "serve/batching.py")
-    #: Package-relative files exempt from the NP-ASYNC shared-state
-    #: rule: the batcher *is* the sanctioned cross-task drain.
-    async_state_exempt: Tuple[str, ...] = ("serve/batching.py",)
-    #: Package-relative files allowed to call ``predict_trace`` from
-    #: loop-reachable code (the batcher evaluates the grouped matrix
-    #: call inline by design; everything else must go through it).
-    async_predict_allow: Tuple[str, ...] = ("serve/batching.py",)
     #: Package-relative files allowed to write ``FleetState`` column
     #: arrays: the engine's own patch/refresh kernels.
     mut_allow: Tuple[str, ...] = ("network/engine.py",)
@@ -517,7 +510,7 @@ def _relative_path(file_path: Path) -> str:
     name when the file does not live under a ``repro`` package (e.g.
     fixture files in a temp directory).
     """
-    parts = file_path.as_posix().split("/")
+    parts = file_path.absolute().as_posix().split("/")
     for index in range(len(parts) - 1, -1, -1):
         if parts[index] == "repro":
             return "/".join(parts[index + 1:])

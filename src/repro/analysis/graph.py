@@ -15,7 +15,7 @@ that picture from the parsed trees the engine already holds:
 * best-effort *local type inference* (constructor assignments,
   parameter/attribute annotations) so ``state.static_w[...] = ...``
   can be traced back to a :class:`~repro.network.engine.FleetState`
-  and ``self.batcher.submit(...)`` to the right method.
+  and ``self.cache.insert(...)`` to the right method.
 
 Resolution is deliberately conservative: a call that cannot be
 resolved to a project function keeps its dotted text (for primitive

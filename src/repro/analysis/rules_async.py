@@ -16,9 +16,7 @@ rule:
   can be garbage-collected mid-flight.
 * **NP-ASYNC-003** -- the same attribute mutated from ``async``
   bodies reachable from two different task entry points interleaves
-  at await points.  Cross-task state belongs behind one owner (the
-  batcher's drain is the sanctioned pattern and is exempt via
-  :attr:`~repro.analysis.engine.CheckConfig.async_state_exempt`).
+  at await points.  Cross-task state belongs behind one owner.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ def check_blocking_in_coroutine(project: ProjectContext) -> \
     """
     analysis = project.taint
     graph = analysis.graph
-    predict_allow = project.config.async_predict_allow
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
         if not fn.is_async:
@@ -65,21 +62,16 @@ def check_blocking_in_coroutine(project: ProjectContext) -> \
                        f"{fn.qualname} -> {primitive}")
                 continue
             if site.callee is None:
-                if _is_predict(site.attr_tail or site.external) and \
-                        fn.path not in predict_allow:
+                if _is_predict(site.attr_tail or site.external):
                     yield (fn.path, site.line, site.col,
-                           f"direct predict_trace on the event loop "
-                           f"in {fn.qualname}; submit through the "
-                           f"PredictBatcher so requests coalesce")
+                           _predict_advice(fn.qualname))
                 continue
             callee = graph.functions.get(site.callee)
             if callee is None or callee.is_async:
                 continue
-            if _is_predict(site.callee) and fn.path not in predict_allow:
+            if _is_predict(site.callee):
                 yield (fn.path, site.line, site.col,
-                       f"direct predict_trace on the event loop in "
-                       f"{fn.qualname}; submit through the "
-                       f"PredictBatcher so requests coalesce")
+                       _predict_advice(fn.qualname))
                 continue
             chain = analysis.blocking.get(site.callee)
             if chain is not None:
@@ -92,6 +84,12 @@ def check_blocking_in_coroutine(project: ProjectContext) -> \
 def _is_predict(name: object) -> bool:
     return isinstance(name, str) and (
         name == "predict_trace" or name.endswith(".predict_trace"))
+
+
+def _predict_advice(qualname: str) -> str:
+    return (f"direct predict_trace on the event loop in {qualname}; "
+            f"compute the router with PredictionCache.insert, one "
+            f"scalar contribution per member")
 
 
 @project_rule("NP-ASYNC-002", Severity.ERROR,
@@ -146,7 +144,6 @@ def check_cross_task_state(project: ProjectContext) -> \
     One finding per attribute, at its first write site.
     """
     graph = project.taint.graph
-    exempt = project.config.async_state_exempt
     roots = sorted({root for root, _spawner in graph.task_roots})
     if len(roots) < 2:
         return
@@ -158,7 +155,7 @@ def check_cross_task_state(project: ProjectContext) -> \
     owners: Dict[Tuple[str, str], Set[str]] = {}
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
-        if not fn.is_async or fn.node is None or fn.path in exempt:
+        if not fn.is_async or fn.node is None:
             continue
         fn_roots = {root for root in roots
                     if qualname in reachable_from[root]}

@@ -16,11 +16,11 @@ path      method  behaviour
 ========  ======  ==================================================
 
 ``/predict`` classifies each router entry: a full cache hit is served
-from the cheap tier, anything else goes through the per-tick batcher
-(:mod:`repro.serve.batching`) and back-fills the cache.  The two
-tiers are bit-equal, so the response *bytes* never depend on the
-route taken; the route is reported in the ``X-Netpower-Tier`` header
-(``cached``, ``full``, or ``mixed``).
+from the cheap tier, anything else is computed by the cache's own
+insert, which fills in the missing members (:mod:`repro.serve.cache`).
+The two tiers are bit-equal, so the response *bytes* never depend on
+the route taken; the route is reported in the ``X-Netpower-Tier``
+header (``cached``, ``full``, or ``mixed``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.ioutil import atomic_write_text
 from repro.obs import metrics
 from repro.obs.export import render_prometheus
-from repro.serve.batching import PredictBatcher
 from repro.serve.cache import DEFAULT_CAPACITY, PredictionCache
 from repro.serve.schemas import (DEFAULT_OCTET_QUANTUM,
                                  DEFAULT_PACKET_QUANTUM, SERVE_SCHEMA,
@@ -87,13 +86,12 @@ class ServeConfig:
 
 
 class NetpowerServer:
-    """One serving process: load task, batcher, and the HTTP loop."""
+    """One serving process: load task, cache, and the HTTP loop."""
 
     def __init__(self, config: ServeConfig):
         self.config = config
         self.cache = PredictionCache(capacity=config.cache_capacity)
         self.service: Optional[FleetService] = None
-        self.batcher: Optional[PredictBatcher] = None
         self.load_error: Optional[str] = None
         self._ready = asyncio.Event()
         self._stop = asyncio.Event()
@@ -134,8 +132,6 @@ class NetpowerServer:
             self._stop.set()
             return
         self.service = service
-        self.batcher = PredictBatcher(service.models)
-        self.batcher.start()
         if config.snapshot_out:
             # Disk I/O stays off-loop: the snapshot can be megabytes,
             # and /healthz must keep answering while it lands.
@@ -162,7 +158,7 @@ class NetpowerServer:
         self._stop.set()
 
     async def shutdown(self) -> None:
-        """Close the listener, stop the loader, drain the batcher."""
+        """Close the listener and stop the loader."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -175,8 +171,6 @@ class NetpowerServer:
             except asyncio.CancelledError:
                 pass
             self._load_task = None
-        if self.batcher is not None:
-            await self.batcher.stop()
         M_READY.set(0.0)
 
     # -- HTTP plumbing ------------------------------------------------------
@@ -313,7 +307,7 @@ class NetpowerServer:
         if path == "/predict":
             if method != "POST":
                 return 405, error_body("POST only"), json_type, ()
-            return await self._predict(body)
+            return self._predict(body)
         if path == "/whatif":
             if method != "POST":
                 return 405, error_body("POST only"), json_type, ()
@@ -322,13 +316,12 @@ class NetpowerServer:
 
     # -- /predict -----------------------------------------------------------
 
-    async def _predict(self, body: bytes
-                       ) -> Tuple[int, bytes, str,
-                                  Tuple[Tuple[str, str], ...]]:
+    def _predict(self, body: bytes
+                 ) -> Tuple[int, bytes, str, Tuple[Tuple[str, str], ...]]:
         json_type = "application/json"
         if not self._ready.is_set():
             return 503, error_body("models still loading"), json_type, ()
-        assert self.service is not None and self.batcher is not None
+        assert self.service is not None
         try:
             request = parse_predict_request(
                 _load_json(body),
@@ -343,23 +336,19 @@ class NetpowerServer:
                     f"no power model for router model "
                     f"{query.router_model!r}"), json_type, ()
         tiers: List[str] = []
-        powers: List[Optional[float]] = [None] * len(request.routers)
-        submitted = []
+        powers: List[Optional[float]] = []
+        for query in request.routers:
+            power = self.cache.lookup(query, models[query.router_model])
+            tier = "full" if power is None else "cached"
+            powers.append(power)
+            tiers.append(tier)
+            M_TIER.labels(tier=tier).inc()
+        # Every lookup runs before any insert, so a router's tier never
+        # depends on the members an earlier router of the request adds.
         for index, query in enumerate(request.routers):
-            model = models[query.router_model]
-            cached = self.cache.lookup(query, model)
-            if cached is not None:
-                powers[index] = cached
-                tiers.append("cached")
-                M_TIER.labels(tier="cached").inc()
-            else:
-                submitted.append(
-                    (index, query, self.batcher.submit(query)))
-                tiers.append("full")
-                M_TIER.labels(tier="full").inc()
-        for index, query, awaitable in submitted:
-            powers[index] = await awaitable
-            self.cache.insert(query, models[query.router_model])
+            if powers[index] is None:
+                powers[index] = self.cache.insert(
+                    query, models[query.router_model])
         entries = []
         fleet_power = 0.0
         for query, power in zip(request.routers, powers):

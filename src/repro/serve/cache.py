@@ -1,19 +1,26 @@
-"""The cheap tier: a per-interface-class prediction cache.
+"""Both tiers of ``/predict``: a per-interface-class prediction cache.
 
 A cache entry is the scalar power contribution of one interface --
 ``(router model, resolved class, flags, quantised two-direction
 rates) -> watts`` -- computed with exactly the IEEE operation sequence
 :func:`~repro.core.prediction.predict_trace` applies elementwise to a
-matrix column.  Assembly then replays that function's own reduction
-order (its explicit sequential row fold per class group, groups in
-canonical order, base power first), so a cache-served response is
-bit-equal to the full tier's.
+matrix column.  A router's power is then one fold, :func:`_fold`, that
+replays that function's own reduction order (base power first, then
+each class group's sequential member sum, groups in first-appearance
+order).
+
+:meth:`PredictionCache.lookup` is the cheap tier: it folds a router
+whose members are all cached.  :meth:`PredictionCache.insert` is the
+full tier: it computes the members that are missing, caches them, and
+folds the values it just computed.  Both are bit-equal to
+:func:`~repro.serve.batching.evaluate_group`, the matrix reference the
+tests compare every reply with.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.activity import prediction_active
@@ -61,6 +68,26 @@ def _member_key(query: RouterQuery, member: InterfaceQuery) -> Tuple:
             member.oct_rate.hex(), member.pkt_rate.hex())
 
 
+def _fold(model: PowerModel, members: Sequence[InterfaceQuery],
+          values: Sequence[float]) -> float:
+    """A router's power from its members' contributions.
+
+    Base power first, then each class group's sequential member sum,
+    groups in first-appearance (canonical) order -- exactly the
+    grouping dict and row fold of ``predict_trace``.
+    """
+    groups: Dict[object, List[float]] = {}
+    for member, value in zip(members, values):
+        groups.setdefault(member.class_key, []).append(value)
+    total = float(model.p_base_w.value)
+    for group in groups.values():
+        group_sum = group[0]
+        for value in group[1:]:
+            group_sum = group_sum + value
+        total = total + group_sum
+    return total
+
+
 class PredictionCache:
     """LRU cache of per-member contributions with fold-order assembly."""
 
@@ -77,10 +104,8 @@ class PredictionCache:
                model: PowerModel) -> Optional[float]:
         """The router's power if *every* member is cached, else ``None``.
 
-        Replays the full tier's float fold: start from base power,
-        then add each class group's sequential member fold in
-        canonical group order.  A single missing member routes the
-        whole entry to the full tier (which back-fills the cache).
+        A single missing member routes the whole entry to
+        :meth:`insert`.
         """
         members = query.resolved
         keys = [_member_key(query, m) for m in members]
@@ -88,30 +113,32 @@ class PredictionCache:
             self.misses += 1
             return None
         self.hits += 1
-        # Group members by class in first-appearance (canonical) order,
-        # exactly like predict_trace's grouping dict.
-        groups: Dict[object, list] = {}
-        for member, key in zip(members, keys):
-            value = self._entries[key]
+        values = []
+        for key in keys:
+            values.append(self._entries[key])
             self._entries.move_to_end(key)
-            groups.setdefault(member.class_key, []).append(value)
-        total = float(model.p_base_w.value)
-        for values in groups.values():
-            group_sum = values[0]
-            for value in values[1:]:
-                group_sum = group_sum + value
-            total = total + group_sum
-        return total
+        return _fold(model, members, values)
 
-    def insert(self, query: RouterQuery, model: PowerModel) -> None:
-        """Back-fill every member contribution after a full-tier eval."""
-        for member in query.resolved:
+    def insert(self, query: RouterQuery, model: PowerModel) -> float:
+        """Cache every member not yet cached; the router's power.
+
+        The power folds the values this call computed or found, not a
+        second :meth:`lookup`: with a capacity below the router's
+        member count, its own first members are evicted by its last.
+        """
+        members = query.resolved
+        values = []
+        for member in members:
             key = _member_key(query, member)
-            if key in self._entries:
+            value = self._entries.get(key)
+            if value is None:
+                value = member_contribution(
+                    model, member, query.assume_unplugged_when_idle,
+                    query.active_pps_threshold)
+                self._entries[key] = value
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+            else:
                 self._entries.move_to_end(key)
-                continue
-            self._entries[key] = member_contribution(
-                model, member, query.assume_unplugged_when_idle,
-                query.active_pps_threshold)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            values.append(value)
+        return _fold(model, members, values)

@@ -33,6 +33,11 @@ SERVE_SCHEMA = "repro.serve/v1"
 DEFAULT_OCTET_QUANTUM = 125.0   # bytes/s, i.e. 1 kbit/s
 DEFAULT_PACKET_QUANTUM = 1.0    # packets/s
 
+#: Interfaces one ``/predict`` may carry across all its routers.  A
+#: miss is computed on the event loop, so this bounds what one request
+#: can hold it for; a synth-1k poll of the whole fleet has 8,908.
+MAX_REQUEST_INTERFACES = 16384
+
 
 class RequestError(ValueError):
     """A malformed request body; rendered as an HTTP 400."""
@@ -123,12 +128,13 @@ class RouterQuery:
 
     @property
     def signature(self) -> Tuple:
-        """The batching group key.
+        """The matrix group key.
 
         Two router entries with the same signature evaluate as columns
-        of one matrix: same model, same flags, and the same multiset of
-        interface classes in the same canonical order, so every member
-        row and every group fold aligns bit-for-bit.
+        of one :func:`~repro.serve.batching.evaluate_group` matrix call:
+        same model, same flags, and the same multiset of interface
+        classes in the same canonical order, so every member row and
+        every group fold aligns bit-for-bit.
         """
         classes = tuple(i.class_key for i in self.resolved)
         return (self.router_model, self.assume_unplugged_when_idle,
@@ -152,7 +158,9 @@ def parse_predict_request(document: object,
     Canonicalisation sorts each router's interfaces by (resolved
     class, name): group order and member fold order then depend only
     on the request *content*, never on arrival order -- the keystone
-    of the cached-tier == full-tier bit-equality contract.
+    of the cached-tier == full-tier bit-equality contract.  The
+    request-wide interface count is checked against
+    :data:`MAX_REQUEST_INTERFACES` before any interface is parsed.
     """
     if not isinstance(document, dict):
         raise RequestError("body must be a JSON object")
@@ -161,6 +169,13 @@ def parse_predict_request(document: object,
         raise RequestError("'routers' must be a non-empty array")
     if len(routers_raw) > max_routers:
         raise RequestError(f"at most {max_routers} routers per request")
+    n_interfaces = sum(
+        len(entry["interfaces"]) for entry in routers_raw
+        if isinstance(entry, dict)
+        and isinstance(entry.get("interfaces"), list))
+    if n_interfaces > MAX_REQUEST_INTERFACES:
+        raise RequestError(
+            f"at most {MAX_REQUEST_INTERFACES} interfaces per request")
     unplugged = document.get("assume_unplugged_when_idle", True)
     if not isinstance(unplugged, bool):
         raise RequestError("'assume_unplugged_when_idle' must be a boolean")

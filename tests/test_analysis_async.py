@@ -110,13 +110,13 @@ class TestBlockingOnTheLoop:
 
 
                 async def handle(doc: dict) -> dict:
-                    """Bypasses the batcher."""
+                    """Bypasses the prediction cache."""
                     return predict_trace(doc)
                 '''),
         })
         findings = by_rule(result, "NP-ASYNC-001")
         assert len(findings) == 1
-        assert "PredictBatcher" in findings[0].message
+        assert "PredictionCache" in findings[0].message
 
 
 class TestUnawaited:

@@ -125,6 +125,18 @@ class TestReportPaths:
         assert "checked 1 file(s): 1 finding(s)" in \
             capsys.readouterr().out
 
+    def test_report_path_ignores_how_the_file_was_named(
+            self, tree, monkeypatch, capsys):
+        (tree / "dirty.py").write_text(DIRTY)
+        monkeypatch.chdir(tree)
+        for spelling in ("dirty.py", str(tree / "dirty.py")):
+            code = main(["check", spelling, "--format", "json"])
+            assert code == 1
+            report = json.loads(capsys.readouterr().out)
+            assert [(f["path"], f["rule"])
+                    for f in report["findings"]] == \
+                [("core/dirty.py", "NP-DET-001")]
+
 
 class TestNoSideEffects:
     def test_check_writes_nothing(self, tmp_path, monkeypatch, capsys):

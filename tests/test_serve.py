@@ -5,8 +5,9 @@ The headline guarantees under test:
 * responses are **byte**-deterministic -- identical request bodies get
   identical response bytes, across repeats, across interleaved
   traffic, and across full server restarts;
-* the cheap (cache) tier is bit-equal to the full (batched matrix)
-  tier, so the route taken never shows in the payload;
+* the cheap (cache lookup) tier and the full (cache insert) tier are
+  bit-equal to the matrix reference ``evaluate_group``, so the route
+  taken never shows in the payload;
 * metrics on/off changes observability only, never response bodies.
 
 The synth-200 fleet load is the expensive part, so most tests share
@@ -27,7 +28,8 @@ from repro.obs import metrics as obs_metrics
 from repro.serve import NetpowerServer, ServeConfig
 from repro.serve.batching import evaluate_group
 from repro.serve.cache import PredictionCache
-from repro.serve.schemas import (RequestError, parse_predict_request,
+from repro.serve.schemas import (MAX_REQUEST_INTERFACES, RequestError,
+                                 parse_predict_request,
                                  parse_whatif_request)
 from repro.serve.state import FleetService
 
@@ -143,13 +145,14 @@ def test_interleaved_traffic_keeps_tiers_bit_equal():
         for status, _headers, _payload in first_round:
             assert status == 200
         # Replay every body concurrently, interleaved with fresh
-        # never-seen bodies that force full-tier batching around them.
+        # never-seen bodies that force full-tier work around them.
         fresh = [predict_body(model, n_ifaces=3, scale=2.0 + 0.01 * k)
                  for k in range(12)]
         mixed = []
         for body, extra in zip(bodies, fresh):
             mixed.append(body)
             mixed.append(extra)
+        misses_before = server.cache.misses
         second_round = await asyncio.gather(*[
             http(port, "POST", "/predict", body) for body in mixed])
         replayed = second_round[::2]
@@ -159,7 +162,10 @@ def test_interleaved_traffic_keeps_tiers_bit_equal():
             assert headers["x-netpower-tier"] == "cached"
             assert after == before
         assert server.cache.hits > 0
-        assert server.batcher.flushed_entries > 0
+        for status, headers, _payload in second_round[1::2]:
+            assert status == 200
+            assert headers["x-netpower-tier"] == "full"
+        assert server.cache.misses >= misses_before + len(fresh)
 
     run_with_server(scenario)
 
@@ -217,7 +223,7 @@ def test_cache_replay_is_bit_equal_to_matrix_columns():
     model_name = first_model()
     model = service.models[model_name]
     # One signature group (same class structure), varied rates -- the
-    # shape the batcher hands to evaluate_group.
+    # shape evaluate_group takes as one matrix call.
     queries = []
     for k in range(6):
         document = json.loads(predict_body(
@@ -314,6 +320,26 @@ def test_predict_parse_errors(mutate, message):
                               packet_quantum=1.0)
 
 
+def wide_body(n_interfaces: int) -> dict:
+    """``n_interfaces`` unknown-transceiver interfaces, 4096 a router."""
+    routers = []
+    while n_interfaces > 0:
+        count = min(n_interfaces, 4096)
+        routers.append({"router_model": "m",
+                        "interfaces": [{"trx": "x"}] * count})
+        n_interfaces -= count
+    return {"routers": routers}
+
+
+def test_interfaces_are_capped_per_request():
+    assert MAX_REQUEST_INTERFACES == 16384
+    request = parse_predict_request(wide_body(16384))
+    assert sum(len(r.interfaces) for r in request.routers) == 16384
+    with pytest.raises(RequestError,
+                       match="at most 16384 interfaces per request"):
+        parse_predict_request(wide_body(16385))
+
+
 def test_whatif_parse_errors():
     with pytest.raises(RequestError, match="at least one"):
         parse_whatif_request({})
@@ -349,6 +375,22 @@ def test_endpoint_statuses():
         for method, path, body, expected in checks:
             status, _headers, payload = await http(port, method, path, body)
             assert status == expected, (method, path, status, payload)
+
+    run_with_server(scenario)
+
+
+def test_oversized_request_gets_400_and_the_server_keeps_serving():
+    body = json.dumps(wide_body(16385)).encode()
+
+    async def scenario(server):
+        port = server.bound_port
+        status, _h, payload = await http(port, "POST", "/predict", body)
+        assert status == 400
+        assert json.loads(payload)["error"] == \
+            "at most 16384 interfaces per request"
+        status, _h, _p = await http(port, "POST", "/predict",
+                                    predict_body(first_model()))
+        assert status == 200
 
     run_with_server(scenario)
 
