@@ -3,7 +3,7 @@
 Not a paper artefact -- this guards the speedup the columnar engine
 (:mod:`repro.network.engine`) was built for.  The full-size numbers (the
 2x fleet over 10k steps, >=10x) live in ``BENCH_simulation.json`` via
-``python -m repro.bench``; this test keeps runtime modest by using the
+``netpower bench``; this test keeps runtime modest by using the
 default 107-router fleet over a few hundred steps and asserting a
 conservative floor, so it stays meaningful on slow CI machines.
 """

@@ -5,14 +5,12 @@ columnar engine (:mod:`repro.network.engine`) on fleets of increasing
 size, checks that the two engines agree on the total-power trace, and
 writes a machine-readable report (``BENCH_simulation.json`` by default).
 
-Run it as a module::
+Run it through the CLI::
 
-    python -m repro.bench --quick          # small fleet only, seconds
-    python -m repro.bench                  # small + medium, ~2 minutes
-    python -m repro.bench --cases large    # 214 routers x 10k steps
-    python -m repro.bench --cases xl xxl   # synthetic 1k / 10k fleets
-
-or through the CLI: ``repro bench --quick``.
+    netpower bench --quick          # small fleet only, seconds
+    netpower bench                  # small + medium, ~2 minutes
+    netpower bench --cases large    # 214 routers x 10k steps
+    netpower bench --cases xl xxl   # synthetic 1k / 10k fleets
 
 Each case builds *independent* fleets from the same seeds (one per
 engine) so neither run perturbs the other's RNG streams or object state;
@@ -25,7 +23,6 @@ at 10k routers -- and each entry records why in ``object_skipped``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import resource
 import sys
@@ -581,7 +578,7 @@ def run_benchmarks(case_names: Sequence[str], seed: int,
     order = {name: i for i, name in enumerate(CASES)}
     report = {
         "schema": SCHEMA,
-        "generated_by": "python -m repro.bench",
+        "generated_by": "netpower bench",
         "seed": seed,
         "step_s": STEP_S,
         "cases": sorted(merged.values(),
@@ -597,95 +594,3 @@ def run_benchmarks(case_names: Sequence[str], seed: int,
               file=stream)
     print(f"report written to {output}", file=stream)
     return report
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Benchmark the object vs vectorized simulation engines.")
-    parser.add_argument("--quick", action="store_true",
-                        help="run only the small case (a few seconds)")
-    parser.add_argument("--cases", nargs="+", choices=sorted(CASES),
-                        metavar="CASE",
-                        help=f"cases to run (default: {' '.join(DEFAULT_CASES)}"
-                             "; choices: %(choices)s)")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="override the per-case step count")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="base RNG seed (default: %(default)s)")
-    parser.add_argument("--output", "-o", type=Path,
-                        default=Path("BENCH_simulation.json"),
-                        help="report path (default: %(default)s)")
-    parser.add_argument("--compare", type=Path, default=None,
-                        metavar="BASELINE",
-                        help="after running, diff the report against this "
-                             "baseline report; exit 1 on regression")
-    parser.add_argument("--tolerance", type=float,
-                        default=DEFAULT_TOLERANCE,
-                        help="fractional slowdown tolerated by --compare "
-                             "(default: %(default)s)")
-    parser.add_argument("--min-kernel-ms", type=float,
-                        default=DEFAULT_MIN_KERNEL_MS,
-                        help="skip kernels whose baseline total is below "
-                             "this in --compare (default: %(default)s)")
-    parser.add_argument("--history", type=Path, default=None,
-                        help="trajectory file to append to (default: "
-                             "BENCH_history.jsonl next to the report; "
-                             "'-' disables)")
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point for the engine benchmark harness."""
-    args = _parser().parse_args(argv)
-    if args.quick:
-        case_names: Sequence[str] = ("small",)
-    elif args.cases:
-        case_names = args.cases
-    else:
-        case_names = DEFAULT_CASES
-    if args.steps is not None and args.steps <= 0:
-        print("--steps must be positive", file=sys.stderr)
-        return 2
-    parent = args.output.parent
-    if parent and not parent.is_dir():
-        # Fail before the benchmarks run, not after minutes of timing.
-        print(f"output directory {parent} does not exist", file=sys.stderr)
-        return 2
-    if args.tolerance <= 0:
-        print("--tolerance must be positive", file=sys.stderr)
-        return 2
-    baseline: Optional[Dict] = None
-    if args.compare is not None:
-        # Fail on a bad baseline before the benchmarks run.
-        try:
-            baseline = json.loads(args.compare.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            print(f"cannot read baseline {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if (not isinstance(baseline, dict)
-                or baseline.get("schema") != SCHEMA):
-            print(f"baseline {args.compare} is not a {SCHEMA} report",
-                  file=sys.stderr)
-            return 2
-    if args.history is None:
-        history: Optional[Path] = args.output.parent / "BENCH_history.jsonl"
-    elif str(args.history) == "-":
-        history = None
-    else:
-        history = args.history
-    report = run_benchmarks(case_names, seed=args.seed, output=args.output,
-                            steps_override=args.steps, history=history)
-    if baseline is not None:
-        comparison = compare_reports(report, baseline,
-                                     tolerance=args.tolerance,
-                                     min_kernel_ms=args.min_kernel_ms)
-        render_comparison(comparison, sys.stdout)
-        if comparison["regressions"]:
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

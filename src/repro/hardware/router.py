@@ -522,10 +522,6 @@ class VirtualRouter:
                 f"{self.hostname} has {len(self.ports)} ports; "
                 f"no port {index}")
 
-    def ports_of_type(self, port_type: PortType) -> List[Port]:
-        """All ports with a given cage type."""
-        return [p for p in self.ports if p.port_type == port_type]
-
     # -- truth ------------------------------------------------------------------
 
     def thermal_power_w(self) -> float:
@@ -657,10 +653,6 @@ class VirtualRouter:
             port.name: port.transceiver.name if port.transceiver else None
             for port in self.ports
         }
-
-    def admin_states(self) -> Dict[str, bool]:
-        """Interface name -> administrative state."""
-        return {port.name: port.admin_up for port in self.ports}
 
     def set_sharing_policy(self, policy: SharingPolicy) -> None:
         """Change how DC load spreads over the PSUs (§9.3.4 scenarios)."""

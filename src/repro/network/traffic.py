@@ -352,7 +352,3 @@ class FleetTrafficModel:
         mult = self.profile.multiplier(t_s)
         noise = float(self.rng.lognormal(0.0, 0.08))
         return mult, noise
-
-    def refresh_internal_loads(self) -> None:
-        """Recompute base internal loads (after topology-affecting events)."""
-        self._base_internal_loads = self.matrix.base_link_loads()

@@ -21,6 +21,10 @@ insert, which fills in the missing members (:mod:`repro.serve.cache`).
 The two tiers are bit-equal, so the response *bytes* never depend on
 the route taken; the route is reported in the ``X-Netpower-Tier``
 header (``cached``, ``full``, or ``mixed``).
+
+``/predict`` and ``/whatif`` both run inline on the event loop, which
+serialises them; only fleet loading and the snapshot write run in the
+executor.
 """
 
 from __future__ import annotations
@@ -95,7 +99,6 @@ class NetpowerServer:
         self.load_error: Optional[str] = None
         self._ready = asyncio.Event()
         self._stop = asyncio.Event()
-        self._whatif_lock = asyncio.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
         self._load_task: Optional["asyncio.Task[None]"] = None
         self.bound_port: Optional[int] = None
@@ -152,10 +155,6 @@ class NetpowerServer:
         await self._stop.wait()
         await self.shutdown()
         return 1 if self.load_error else 0
-
-    def request_stop(self) -> None:
-        """Ask the serve loop to exit (test hook and /shutdown-free)."""
-        self._stop.set()
 
     async def shutdown(self) -> None:
         """Close the listener and stop the loader."""
@@ -311,7 +310,7 @@ class NetpowerServer:
         if path == "/whatif":
             if method != "POST":
                 return 405, error_body("POST only"), json_type, ()
-            return await self._whatif(body)
+            return self._whatif(body)
         return 404, error_body(f"no such endpoint {path}"), json_type, ()
 
     # -- /predict -----------------------------------------------------------
@@ -368,24 +367,17 @@ class NetpowerServer:
 
     # -- /whatif ------------------------------------------------------------
 
-    async def _whatif(self, body: bytes
-                      ) -> Tuple[int, bytes, str,
-                                 Tuple[Tuple[str, str], ...]]:
+    def _whatif(self, body: bytes
+                ) -> Tuple[int, bytes, str, Tuple[Tuple[str, str], ...]]:
         json_type = "application/json"
         if not self._ready.is_set():
             return 503, error_body("fleet still loading"), json_type, ()
         assert self.service is not None
         try:
-            request = parse_whatif_request(_load_json(body))
+            document = self.service.whatif(
+                parse_whatif_request(_load_json(body)))
         except RequestError as exc:
             return 400, error_body(str(exc)), json_type, ()
-        async with self._whatif_lock:
-            loop = asyncio.get_running_loop()
-            try:
-                document = await loop.run_in_executor(
-                    None, self.service.whatif, request)
-            except RequestError as exc:
-                return 400, error_body(str(exc)), json_type, ()
         return 200, canonical_json(document), json_type, ()
 
 

@@ -18,9 +18,11 @@ floats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import units
 from repro.activity import ACTIVE_PPS_THRESHOLD
 from repro.core.model import InterfaceClassKey
 from repro.core.prediction import resolve_class_key
@@ -37,6 +39,13 @@ DEFAULT_PACKET_QUANTUM = 1.0    # packets/s
 #: miss is computed on the event loop, so this bounds what one request
 #: can hold it for; a synth-1k poll of the whole fleet has 8,908.
 MAX_REQUEST_INTERFACES = 16384
+#: Router entries one ``/predict`` may carry.
+MAX_REQUEST_ROUTERS = 1024
+#: Interfaces one ``/predict`` router entry may carry.
+MAX_ROUTER_INTERFACES = 4096
+#: Changes plus ``sleep_links`` entries one ``/whatif`` may carry.  A
+#: what-if also runs on the event loop, so this bounds it the same way.
+MAX_WHATIF_CHANGES = 4096
 
 
 class RequestError(ValueError):
@@ -62,15 +71,18 @@ def quantize(value: float, quantum: float) -> float:
     return round(value / quantum) * quantum
 
 
-def _number(raw: object, what: str) -> float:
-    """A finite, non-negative JSON number or a :class:`RequestError`."""
+def _number(raw: object, where: str, key: str) -> float:
+    """A finite, non-negative JSON number or a :class:`RequestError`.
+
+    The field's name, ``where.key``, is formatted only for an error.
+    """
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise RequestError(f"{what} must be a number")
+        raise RequestError(f"{where}.{key} must be a number")
     value = float(raw)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise RequestError(f"{what} must be finite")
+    if not math.isfinite(value):
+        raise RequestError(f"{where}.{key} must be finite")
     if value < 0:
-        raise RequestError(f"{what} must be non-negative")
+        raise RequestError(f"{where}.{key} must be non-negative")
     return value
 
 
@@ -150,9 +162,8 @@ class PredictRequest:
 
 def parse_predict_request(document: object,
                           octet_quantum: float = DEFAULT_OCTET_QUANTUM,
-                          packet_quantum: float = DEFAULT_PACKET_QUANTUM,
-                          max_routers: int = 1024,
-                          max_interfaces: int = 4096) -> PredictRequest:
+                          packet_quantum: float = DEFAULT_PACKET_QUANTUM
+                          ) -> PredictRequest:
     """Validate, quantise, and canonicalise a ``/predict`` body.
 
     Canonicalisation sorts each router's interfaces by (resolved
@@ -160,15 +171,18 @@ def parse_predict_request(document: object,
     on the request *content*, never on arrival order -- the keystone
     of the cached-tier == full-tier bit-equality contract.  The
     request-wide interface count is checked against
-    :data:`MAX_REQUEST_INTERFACES` before any interface is parsed.
+    :data:`MAX_REQUEST_INTERFACES` before any interface is parsed, and
+    an interface whose quantised rates give a non-finite bit rate is
+    refused, so no reply can carry a power that is not JSON.
     """
     if not isinstance(document, dict):
         raise RequestError("body must be a JSON object")
     routers_raw = document.get("routers")
     if not isinstance(routers_raw, list) or not routers_raw:
         raise RequestError("'routers' must be a non-empty array")
-    if len(routers_raw) > max_routers:
-        raise RequestError(f"at most {max_routers} routers per request")
+    if len(routers_raw) > MAX_REQUEST_ROUTERS:
+        raise RequestError(
+            f"at most {MAX_REQUEST_ROUTERS} routers per request")
     n_interfaces = sum(
         len(entry["interfaces"]) for entry in routers_raw
         if isinstance(entry, dict)
@@ -190,9 +204,9 @@ def parse_predict_request(document: object,
         ifaces_raw = entry.get("interfaces", [])
         if not isinstance(ifaces_raw, list):
             raise RequestError(f"routers[{r}].interfaces must be an array")
-        if len(ifaces_raw) > max_interfaces:
+        if len(ifaces_raw) > MAX_ROUTER_INTERFACES:
             raise RequestError(
-                f"at most {max_interfaces} interfaces per router")
+                f"at most {MAX_ROUTER_INTERFACES} interfaces per router")
         members: List[InterfaceQuery] = []
         for i, iface in enumerate(ifaces_raw):
             where = f"routers[{r}].interfaces[{i}]"
@@ -203,25 +217,37 @@ def parse_predict_request(document: object,
                 raise RequestError(f"{where}.trx must be a string")
             speed = iface.get("speed_gbps")
             if speed is not None:
-                speed = _number(speed, f"{where}.speed_gbps")
+                speed = _number(speed, where, "speed_gbps")
             name = iface.get("name", f"if{i}")
             if not isinstance(name, str):
                 raise RequestError(f"{where}.name must be a string")
+            oct_rx = quantize(_number(iface.get("octet_rate_rx", 0.0),
+                                      where, "octet_rate_rx"),
+                              octet_quantum)
+            oct_tx = quantize(_number(iface.get("octet_rate_tx", 0.0),
+                                      where, "octet_rate_tx"),
+                              octet_quantum)
+            pkt_rx = quantize(_number(iface.get("packet_rate_rx", 0.0),
+                                      where, "packet_rate_rx"),
+                              packet_quantum)
+            pkt_tx = quantize(_number(iface.get("packet_rate_tx", 0.0),
+                                      where, "packet_rate_tx"),
+                              packet_quantum)
+            # The bit rate member_contribution derives from the two-
+            # direction sums.  The sums are non-negative, so it is
+            # infinite whenever one of them is, and a reply would then
+            # carry Infinity, which is not JSON.
+            bps = units.BITS_PER_BYTE * (
+                (oct_rx + oct_tx)
+                + units.ETHERNET_OVERHEAD_BYTES * (pkt_rx + pkt_tx))
+            if not math.isfinite(bps):
+                raise RequestError(
+                    f"{where} rates must give a finite bit rate")
             members.append(InterfaceQuery(
                 name=name, trx_name=trx, speed_gbps=speed,
                 class_key=resolve_class_key(trx, speed),
-                oct_rx=quantize(_number(iface.get("octet_rate_rx", 0.0),
-                                        f"{where}.octet_rate_rx"),
-                                octet_quantum),
-                oct_tx=quantize(_number(iface.get("octet_rate_tx", 0.0),
-                                        f"{where}.octet_rate_tx"),
-                                octet_quantum),
-                pkt_rx=quantize(_number(iface.get("packet_rate_rx", 0.0),
-                                        f"{where}.packet_rate_rx"),
-                                packet_quantum),
-                pkt_tx=quantize(_number(iface.get("packet_rate_tx", 0.0),
-                                        f"{where}.packet_rate_tx"),
-                                packet_quantum)))
+                oct_rx=oct_rx, oct_tx=oct_tx, pkt_rx=pkt_rx,
+                pkt_tx=pkt_tx))
         members.sort(key=lambda m: m.sort_key)
         routers.append(RouterQuery(
             router_model=model_name, interfaces=tuple(members),
@@ -253,8 +279,7 @@ class WhatIfRequest:
     sleep_links: Tuple[int, ...]
 
 
-def parse_whatif_request(document: object,
-                         max_changes: int = 4096) -> WhatIfRequest:
+def parse_whatif_request(document: object) -> WhatIfRequest:
     """Validate a ``/whatif`` body."""
     if not isinstance(document, dict):
         raise RequestError("body must be a JSON object")
@@ -266,8 +291,9 @@ def parse_whatif_request(document: object,
         raise RequestError("'sleep_links' must be an array")
     if not changes_raw and not links_raw:
         raise RequestError("need at least one change or sleep_links entry")
-    if len(changes_raw) + len(links_raw) > max_changes:
-        raise RequestError(f"at most {max_changes} changes per request")
+    if len(changes_raw) + len(links_raw) > MAX_WHATIF_CHANGES:
+        raise RequestError(
+            f"at most {MAX_WHATIF_CHANGES} changes per request")
     changes: List[WhatIfChange] = []
     for c, entry in enumerate(changes_raw):
         if not isinstance(entry, dict):

@@ -8,7 +8,8 @@ Loading happens once at startup (the ``/readyz`` 503 window):
 3. run a short warmup simulation with attribution to produce the
    ``/fleet`` snapshot document;
 4. build a :class:`~repro.network.engine.FleetState` over the warmed
-   fleet for ``/whatif`` vector-engine evaluation.
+   fleet for ``/whatif`` vector-engine evaluation, and read its
+   per-router wall power once as every what-if's baseline.
 
 Everything is seeded, so two servers loaded with the same preset and
 seed serve byte-identical ``/fleet`` documents and what-if deltas.
@@ -24,7 +25,8 @@ import numpy as np
 from repro import units
 from repro.core import derive_power_model
 from repro.core.model import PowerModel
-from repro.hardware import TRANSCEIVER_CATALOG, VirtualRouter, router_spec
+from repro.hardware import (TRANSCEIVER_CATALOG, Port, VirtualRouter,
+                            router_spec)
 from repro.lab import ExperimentPlan, Orchestrator
 from repro.network import (FleetTrafficModel, NetworkSimulation,
                            generate_synth_network, synth_config)
@@ -104,6 +106,7 @@ class FleetService:
     fleet_doc: Dict = field(default_factory=dict)
     _network: Optional[object] = None
     _state: Optional[FleetState] = None
+    _baseline: Optional[np.ndarray] = None
     _internal_links: Dict[int, object] = field(default_factory=dict)
 
     @classmethod
@@ -131,6 +134,10 @@ class FleetService:
             link.link_id: link for link in network.links
             if link.is_internal}
         service._state = FleetState(network, traffic)
+        # Nothing in serve patches this fleet except whatif, which
+        # restores it before returning, so its wall power now is the
+        # baseline of every what-if.
+        service._baseline = service._state.wall_power()
         service.fleet_doc = service._build_fleet_doc(result, warmup_step_s)
         return service
 
@@ -172,13 +179,17 @@ class FleetService:
         First-order delta: port admin states are toggled, the affected
         routers' configuration columns are re-patched, and wall power
         is re-read from the vector engine -- traffic is *not*
-        re-routed.  The fleet is restored (and re-patched) before
-        returning, so what-if requests never perturb each other or the
-        ``/fleet`` snapshot; the caller must serialise calls.
+        re-routed.  The baseline is the wall power read at load.  The
+        fleet is restored (and re-patched) before returning, so
+        what-if requests never perturb each other or the ``/fleet``
+        snapshot; the server runs this on its event loop, which
+        serialises calls.
         """
         state = self._state
         network = self._network
-        assert state is not None and network is not None
+        baseline = self._baseline
+        assert state is not None and network is not None \
+            and baseline is not None
         toggles: List[Tuple[object, bool]] = []
 
         def plan_toggle(hostname: str, port_index: int,
@@ -207,13 +218,14 @@ class FleetService:
         # ends (mirrors events._port_link_hosts), so the patch set
         # must include internal-link peers or their columns go stale.
         patch_hosts = set(hosts)
+        # An external port's peer is another network's port, which has
+        # no router to patch.
         for port, _up in toggles:
             peer = port.peer
-            if peer is not None and \
+            if isinstance(peer, Port) and \
                     peer.router.hostname in state.router_index:
                 patch_hosts.add(peer.router.hostname)
         patch_list = sorted(patch_hosts)
-        baseline = state.wall_power()
         baseline_total = float(baseline.sum())
         saved = [(port, port.admin_up) for port, _up in toggles]
         try:

@@ -94,15 +94,6 @@ class Transport:
     def __init__(self, outages: Optional[Sequence[OutageWindow]] = None):
         self.outages = list(outages or [])
 
-    def add_outage(self, start_s: float, end_s: float) -> None:
-        """Schedule a connectivity outage."""
-        self.outages.append(OutageWindow(start_s, end_s))
-        unit = getattr(self, "unit_id", "")
-        M_OUTAGE_WINDOWS.labels(unit=unit, kind="uplink").set(
-            len(self.outages))
-        M_OUTAGE_SECONDS.labels(unit=unit, kind="uplink").set(
-            sum(w.end_s - w.start_s for w in self.outages))
-
     def available(self, t: float) -> bool:
         """Whether the uplink works at time ``t``."""
         return not any(w.contains(t) for w in self.outages)

@@ -9,35 +9,23 @@ lives in ``benchmarks/test_perf_simulation.py``.
 from __future__ import annotations
 
 import copy
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from repro import bench
 from repro.cli import main as cli_main
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_bench_compare():
-    """Import ``scripts/bench_compare.py`` as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_compare", REPO_ROOT / "scripts" / "bench_compare.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 class TestBenchModule:
     def test_quick_report_is_well_formed(self, tmp_path):
         out = tmp_path / "bench.json"
-        rc = bench.main(["--quick", "--steps", "20",
-                         "--output", str(out)])
+        rc = cli_main(["bench", "--quick", "--steps", "20",
+                       "--output", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["schema"] == bench.SCHEMA
+        assert report["generated_by"] == "netpower bench"
         assert report["seed"] == 7
         assert [c["name"] for c in report["cases"]] == ["small"]
         case = report["cases"][0]
@@ -58,8 +46,8 @@ class TestBenchModule:
         assert case["total_power_max_rel_err"] < 1e-9
 
     def test_rejects_nonpositive_steps(self, tmp_path):
-        rc = bench.main(["--quick", "--steps", "0",
-                         "--output", str(tmp_path / "x.json")])
+        rc = cli_main(["bench", "--quick", "--steps", "0",
+                       "--output", str(tmp_path / "x.json")])
         assert rc == 2
 
     def test_case_table(self):
@@ -79,8 +67,8 @@ class TestReportMerging:
         out.write_text(json.dumps({
             "schema": bench.SCHEMA, "seed": 3, "step_s": bench.STEP_S,
             "cases": [previous_medium]}))
-        rc = bench.main(["--quick", "--steps", "5", "--seed", "11",
-                         "--output", str(out)])
+        rc = cli_main(["bench", "--quick", "--steps", "5", "--seed", "11",
+                       "--output", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
         # Suite order, with the untouched medium entry preserved.
@@ -93,9 +81,9 @@ class TestReportMerging:
 
     def test_rerun_replaces_same_case(self, tmp_path):
         out = tmp_path / "bench.json"
-        bench.main(["--quick", "--steps", "5", "--output", str(out)])
+        cli_main(["bench", "--quick", "--steps", "5", "--output", str(out)])
         first = json.loads(out.read_text())
-        bench.main(["--quick", "--steps", "8", "--output", str(out)])
+        cli_main(["bench", "--quick", "--steps", "8", "--output", str(out)])
         second = json.loads(out.read_text())
         assert [c["name"] for c in first["cases"]] == ["small"]
         assert [c["name"] for c in second["cases"]] == ["small"]
@@ -106,7 +94,7 @@ class TestReportMerging:
         out.write_text(json.dumps({
             "schema": "repro.bench.simulation/v2", "seed": 7,
             "cases": [{"name": "large", "n_steps": 10000}]}))
-        bench.main(["--quick", "--steps", "5", "--output", str(out)])
+        cli_main(["bench", "--quick", "--steps", "5", "--output", str(out)])
         report = json.loads(out.read_text())
         # The v2 entry's layout predates per-case seeds; dropping it
         # beats grafting stale semantics onto a v3 report.
@@ -115,7 +103,8 @@ class TestReportMerging:
     def test_corrupt_previous_report_is_ignored(self, tmp_path):
         out = tmp_path / "bench.json"
         out.write_text("{not json")
-        rc = bench.main(["--quick", "--steps", "5", "--output", str(out)])
+        rc = cli_main(["bench", "--quick", "--steps", "5",
+                       "--output", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
         assert [c["name"] for c in report["cases"]] == ["small"]
@@ -124,8 +113,8 @@ class TestReportMerging:
 class TestProfileBlocks:
     def test_engine_entries_carry_kernel_profiles(self, tmp_path):
         out = tmp_path / "bench.json"
-        assert bench.main(["--quick", "--steps", "20",
-                           "--output", str(out)]) == 0
+        assert cli_main(["bench", "--quick", "--steps", "20",
+                         "--output", str(out)]) == 0
         case = json.loads(out.read_text())["cases"][0]
         for engine in ("object", "vector"):
             prof = case[engine]["profile"]
@@ -141,8 +130,8 @@ class TestCompareReports:
 
     def _report(self, tmp_path):
         out = tmp_path / "bench.json"
-        assert bench.main(["--quick", "--steps", "20",
-                           "--output", str(out)]) == 0
+        assert cli_main(["bench", "--quick", "--steps", "20",
+                         "--output", str(out)]) == 0
         return json.loads(out.read_text())
 
     def test_identical_reports_are_clean(self, tmp_path):
@@ -190,24 +179,6 @@ class TestCompareReports:
         with pytest.raises(ValueError, match="regenerate the baseline"):
             bench.compare_reports(stale, report)
 
-    def test_compare_script_exit_codes(self, tmp_path, capsys):
-        script = _load_bench_compare()
-        report = self._report(tmp_path)
-        current_path = tmp_path / "bench.json"
-        slowed = tmp_path / "slowed_baseline.json"
-        baseline = copy.deepcopy(report)
-        baseline["cases"][0]["vector"]["profile"][
-            "kernel.apply_traffic"]["cum_ms"] /= 2.0
-        slowed.write_text(json.dumps(baseline))
-        assert script.main([str(current_path), str(current_path)]) == 0
-        assert script.main([str(current_path), str(slowed),
-                            "--min-kernel-ms", "0"]) == 1
-        with pytest.raises(SystemExit) as excinfo:
-            script.main([str(current_path),
-                         str(tmp_path / "missing.json")])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
-
     def test_cli_bench_compare_flags(self, tmp_path, capsys):
         report = self._report(tmp_path)
         current_path = tmp_path / "bench.json"
@@ -244,8 +215,8 @@ class TestBenchHistory:
         out = tmp_path / "bench.json"
         history = tmp_path / "BENCH_history.jsonl"
         for _ in range(2):
-            assert bench.main(["--quick", "--steps", "10",
-                               "--output", str(out)]) == 0
+            assert cli_main(["bench", "--quick", "--steps", "10",
+                             "--output", str(out)]) == 0
         lines = history.read_text().splitlines()
         assert len(lines) == 2
         entry = json.loads(lines[0])
@@ -259,8 +230,8 @@ class TestBenchHistory:
 
     def test_dash_disables_history(self, tmp_path):
         out = tmp_path / "bench.json"
-        assert bench.main(["--quick", "--steps", "10",
-                           "--output", str(out), "--history", "-"]) == 0
+        assert cli_main(["bench", "--quick", "--steps", "10",
+                         "--output", str(out), "--history", "-"]) == 0
         assert not (tmp_path / "BENCH_history.jsonl").exists()
 
 

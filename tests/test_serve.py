@@ -24,6 +24,8 @@ from unittest import mock
 
 import pytest
 
+from repro.network.engine import FleetState
+from repro.network.topology import ExternalPeerPort
 from repro.obs import metrics as obs_metrics
 from repro.serve import NetpowerServer, ServeConfig
 from repro.serve.batching import evaluate_group
@@ -67,26 +69,33 @@ def run_with_server(test_coro, config: ServeConfig = None):
     return asyncio.run(main())
 
 
+async def exchange(reader, writer, method: str, path: str,
+                   body: bytes = b"", close: bool = False):
+    """One exchange on an open connection -> (status, headers, payload)."""
+    connection = "Connection: close\r\n" if close else ""
+    head = (f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n{connection}\r\n").encode()
+    writer.write(head + body)
+    await writer.drain()
+    status = int((await reader.readline()).split()[1])
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", "0"))
+    payload = await reader.readexactly(length) if length else b""
+    return status, headers, payload
+
+
 async def http(port: int, method: str, path: str, body: bytes = b""):
     """One exchange on a fresh connection -> (status, headers, payload)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        head = (f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n").encode()
-        writer.write(head + body)
-        await writer.drain()
-        status = int((await reader.readline()).split()[1])
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        payload = await reader.readexactly(length) if length else b""
-        return status, headers, payload
+        return await exchange(reader, writer, method, path, body,
+                              close=True)
     finally:
         writer.close()
         try:
@@ -311,6 +320,20 @@ def test_quantization_is_applied_at_admission():
         "octet_rate_rx", -1.0), "octet_rate_rx"),
     (lambda d: d["routers"][0]["interfaces"][0].__setitem__(
         "packet_rate_tx", float("nan")), "packet_rate_tx"),
+    # Each rate is finite, but a two-direction sum or the bit rate the
+    # model derives from the sums is not: a 200 would carry Infinity.
+    pytest.param(lambda d: d["routers"][0]["interfaces"][0].update(
+        octet_rate_rx=1.7e308, octet_rate_tx=1.7e308),
+        "finite bit rate", id="octet-sum-overflows"),
+    pytest.param(lambda d: d["routers"][0]["interfaces"][0].update(
+        packet_rate_rx=1.7e308, packet_rate_tx=1.7e308),
+        "finite bit rate", id="packet-sum-overflows"),
+    pytest.param(lambda d: d["routers"][0]["interfaces"][0].update(
+        octet_rate_rx=1e308),
+        "finite bit rate", id="octet-bit-rate-overflows"),
+    pytest.param(lambda d: d["routers"][0]["interfaces"][0].update(
+        packet_rate_rx=1e307),
+        "finite bit rate", id="packet-bit-rate-overflows"),
 ])
 def test_predict_parse_errors(mutate, message):
     document = json.loads(predict_body("m", n_ifaces=1))
@@ -509,6 +532,127 @@ def test_whatif_accounts_for_the_peer_side_of_a_link():
     assert document["delta_w"] == round(expected_variant - baseline, 6)
     # And the fleet is fully restored, peer included.
     assert float(state.wall_power().sum()) == baseline
+
+
+def test_whatif_on_an_external_port_answers_and_keeps_the_connection():
+    # An external port's peer is another network's port, with no router
+    # to patch.  Regression: whatif read peer.router, the AttributeError
+    # escaped the handler, and the client saw the connection close.
+    service = shared_service()
+    state = service._state
+    network = service._network
+    target = None
+    for link in sorted(network.links, key=lambda link: link.link_id):
+        if link.is_internal:
+            continue
+        port = network.routers[link.a.hostname].ports[link.a.port_index]
+        if port.link_up:
+            target = port
+            break
+    assert target is not None, "no live external link in fleet"
+    assert isinstance(target.peer, ExternalPeerPort)
+    body = json.dumps({"changes": [
+        {"hostname": target.router.hostname, "port_index": target.index,
+         "admin_up": False}]}).encode()
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.bound_port)
+        try:
+            whatif = await exchange(reader, writer, "POST", "/whatif", body)
+            health = await exchange(reader, writer, "GET", "/healthz")
+        finally:
+            writer.close()
+        return whatif, health
+
+    (status, _h, payload), (health, _h2, _p2) = run_with_server(scenario)
+    assert status == 200
+    assert health == 200
+    document = json.loads(payload)
+
+    # Ground truth, as for the peer side of an internal link.
+    baseline = float(state.wall_power().sum())
+    target.set_admin(False)
+    state.refresh()
+    expected_variant = float(state.wall_power().sum())
+    target.set_admin(True)
+    state.refresh()
+
+    assert document["variant_w"] == round(expected_variant, 6)
+    assert document["delta_w"] == round(expected_variant - baseline, 6)
+    assert float(state.wall_power().sum()) == baseline
+
+
+def whatif_bodies(count: int) -> list:
+    """``count`` distinct link-sleep what-ifs over overlapping links."""
+    links = sorted(shared_service()._internal_links)
+    return [json.dumps({"sleep_links": links[k:k + 4]}).encode()
+            for k in range(0, 2 * count, 2)]
+
+
+def test_interleaved_whatifs_equal_their_solo_replies():
+    """What-ifs from two connections, between /predict calls, never
+    see each other's toggles: the event loop serialises them."""
+    whatifs = whatif_bodies(6)
+    model = first_model()
+    predicts = [predict_body(model, n_ifaces=3, scale=1.0 + 0.1 * k)
+                for k in range(6)]
+
+    async def client(port, items):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            return [(path, body,
+                     await exchange(reader, writer, "POST", path, body))
+                    for path, body in items]
+        finally:
+            writer.close()
+
+    async def scenario(server):
+        port = server.bound_port
+        solo = {}
+        for body in whatifs:
+            status, _h, payload = await http(port, "POST", "/whatif", body)
+            assert status == 200
+            solo[body] = payload
+        forward = [item for pair in zip(whatifs, predicts)
+                   for item in (("/whatif", pair[0]), ("/predict", pair[1]))]
+        backward = [item for pair in zip(reversed(whatifs), predicts)
+                    for item in (("/predict", pair[1]), ("/whatif", pair[0]))]
+        return solo, await asyncio.gather(client(port, forward),
+                                          client(port, backward))
+
+    solo, replies = run_with_server(scenario)
+    whatif_replies = 0
+    for path, body, (status, _headers, payload) in \
+            replies[0] + replies[1]:
+        assert status == 200, (path, payload)
+        if path == "/whatif":
+            assert payload == solo[body]
+            whatif_replies += 1
+    assert whatif_replies == 2 * len(whatifs)
+
+    service = shared_service()
+    fresh = FleetState(service._network, service._state.traffic)
+    expected = round(float(fresh.wall_power().sum()), 6)
+    for payload in solo.values():
+        assert json.loads(payload)["baseline_w"] == expected
+
+
+def test_each_whatif_reads_the_fleet_wall_power_once():
+    """The baseline is read at load, so a what-if reads only its variant."""
+    service = shared_service()
+    bodies = whatif_bodies(5)
+    calls = []
+    wall_power = FleetState.wall_power
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return wall_power(self, *args, **kwargs)
+
+    with mock.patch.object(FleetState, "wall_power", counted):
+        for body in bodies:
+            service.whatif(parse_whatif_request(json.loads(body)))
+    assert len(calls) == len(bodies)
 
 
 def test_interfaceless_router_gets_base_power():

@@ -6,13 +6,15 @@ cache's scalar member expression and fold; ``evaluate_group`` is the
 and unknown transceivers, optional speed overrides, idle, tiny and
 large rates, both idle policies, and both packet quanta -- with a
 packet quantum of 0, packet rates land exactly on
-``ACTIVE_PPS_THRESHOLD``.
+``ACTIVE_PPS_THRESHOLD``.  Every reply must be strict JSON: rates near
+the float limit get a 400, never a 200 carrying ``Infinity``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,25 +37,34 @@ rates = st.one_of(
     st.floats(min_value=0.0, max_value=1e-2),
     st.floats(min_value=1e3, max_value=1e12))
 
-interfaces = st.fixed_dictionaries(
-    {"trx": st.one_of(st.sampled_from(sorted(TRANSCEIVER_CATALOG)),
-                      st.sampled_from(["SFP-9G-NOPE", "QSFP-UNKNOWN"])),
-     "octet_rate_rx": rates, "octet_rate_tx": rates,
-     "packet_rate_rx": rates, "packet_rate_tx": rates},
-    optional={"speed_gbps": st.sampled_from([1.0, 10.0, 25.0, 100.0,
-                                             400.0]),
-              "name": st.sampled_from(["a", "b", "c"])})
+#: Rates up to the float limit, where a sum or the bit rate overflows.
+huge_rates = st.one_of(
+    rates,
+    st.sampled_from([1e307, 1e308, 1.7e308, sys.float_info.max]),
+    st.floats(min_value=1e300, max_value=sys.float_info.max))
+
+
+def interfaces(rate: st.SearchStrategy) -> st.SearchStrategy:
+    """One interface entry with every rate drawn from ``rate``."""
+    return st.fixed_dictionaries(
+        {"trx": st.one_of(st.sampled_from(sorted(TRANSCEIVER_CATALOG)),
+                          st.sampled_from(["SFP-9G-NOPE", "QSFP-UNKNOWN"])),
+         "octet_rate_rx": rate, "octet_rate_tx": rate,
+         "packet_rate_rx": rate, "packet_rate_tx": rate},
+        optional={"speed_gbps": st.sampled_from([1.0, 10.0, 25.0, 100.0,
+                                                 400.0]),
+                  "name": st.sampled_from(["a", "b", "c"])})
 
 
 @st.composite
-def bodies(draw, max_routers: int) -> dict:
+def bodies(draw, max_routers: int, rate: st.SearchStrategy = rates) -> dict:
     """A ``/predict`` document with at most ``MAX_INTERFACES`` in all."""
     models = sorted(shared_service().models)
     n_routers = draw(st.integers(1, max_routers))
     budget = MAX_INTERFACES
     routers = []
     for _ in range(n_routers):
-        members = draw(st.lists(interfaces, max_size=budget))
+        members = draw(st.lists(interfaces(rate), max_size=budget))
         budget -= len(members)
         routers.append({"router_model": draw(st.sampled_from(models)),
                         "interfaces": members})
@@ -63,6 +74,15 @@ def bodies(draw, max_routers: int) -> dict:
 
 def bits(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+def strict_json(payload: bytes) -> dict:
+    """Parse a reply, refusing the non-JSON tokens Infinity and NaN."""
+
+    def refuse(token: str) -> None:
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(payload, parse_constant=refuse)
 
 
 @settings(max_examples=120, deadline=None)
@@ -129,3 +149,21 @@ def test_served_replies_equal_the_matrix_reference(body, packet_quantum,
     for status, _headers, payload in run_with_server(scenario, config):
         assert status == 200
         assert payload == expected
+        strict_json(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(body=bodies(max_routers=2, rate=huge_rates))
+def test_replies_near_the_float_limit_are_strict_json_or_400(body):
+    raw = json.dumps(body).encode()
+
+    async def scenario(server):
+        return await http(server.bound_port, "POST", "/predict", raw)
+
+    status, _headers, payload = run_with_server(scenario)
+    document = strict_json(payload)
+    if status == 400:
+        assert document["error"].endswith("rates must give a finite "
+                                          "bit rate")
+    else:
+        assert status == 200
