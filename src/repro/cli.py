@@ -48,13 +48,16 @@ import json
 import logging
 import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ioutil import atomic_write_text
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import _LEVELS, configure, configure_reporter
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core import PowerModel
 
 M_COMMANDS = obs_metrics.counter(
     "netpower_cli_commands_total",
@@ -572,11 +575,43 @@ def _cmd_zoo(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    from repro import units
+def lab_models(seed: int) -> Dict[str, "PowerModel"]:
+    """Lab-derived power models of the two products ``validate`` and
+    ``monitor`` watch in the field, keyed by router model.
+
+    Each model comes from a §5 campaign on its own noisy DUT, seeded at
+    ``seed + 10`` (8201-32FH) and ``seed + 11`` (NCS-55A1-24H).
+    """
     from repro.core import derive_power_model
     from repro.hardware import VirtualRouter, router_spec
     from repro.lab import ExperimentPlan, Orchestrator
+
+    def derive(device: str, trx_names: Sequence[str],
+               seed: int) -> "PowerModel":
+        rng = np.random.default_rng(seed)
+        dut = VirtualRouter(router_spec(device), rng=rng, noise_std_w=0.2)
+        orchestrator = Orchestrator(dut, rng=rng)
+        suites = [orchestrator.run_suite(ExperimentPlan(
+            trx_name=trx, n_pairs_values=(1, 2, 4),
+            rates_gbps=(10, 50, 100), packet_sizes=(256, 1500),
+            measure_duration_s=10, settle_time_s=1))
+            for trx in trx_names]
+        model, _ = derive_power_model(suites)
+        return model
+
+    return {
+        "8201-32FH": derive(
+            "8201-32FH", ("QSFP-DD-400G-FR4", "QSFP-DD-400G-LR4",
+                          "QSFP-DD-400G-DAC", "QSFP28-100G-LR4"),
+            seed + 10),
+        "NCS-55A1-24H": derive(
+            "NCS-55A1-24H", ("QSFP28-100G-DAC", "QSFP28-100G-LR4",
+                             "QSFP28-100G-SR4"), seed + 11),
+    }
+
+
+def _cmd_validate(args) -> int:
+    from repro import units
     from repro.network import (DeployAutopower, FleetConfig,
                                FleetTrafficModel, NetworkSimulation,
                                build_switch_like_network)
@@ -604,27 +639,7 @@ def _cmd_validate(args) -> int:
                 for h in targets.values()],
         detailed_hosts=sorted(targets.values()))
 
-    def lab_model(device, trx_names, seed):
-        rng = np.random.default_rng(seed)
-        dut = VirtualRouter(router_spec(device), rng=rng, noise_std_w=0.2)
-        orchestrator = Orchestrator(dut, rng=rng)
-        suites = [orchestrator.run_suite(ExperimentPlan(
-            trx_name=trx, n_pairs_values=(1, 2, 4),
-            rates_gbps=(10, 50, 100), packet_sizes=(256, 1500),
-            measure_duration_s=10, settle_time_s=1))
-            for trx in trx_names]
-        model, _ = derive_power_model(suites)
-        return model
-
-    models = {
-        "8201-32FH": lab_model(
-            "8201-32FH", ("QSFP-DD-400G-FR4", "QSFP-DD-400G-LR4",
-                          "QSFP-DD-400G-DAC", "QSFP28-100G-LR4"),
-            args.seed + 10),
-        "NCS-55A1-24H": lab_model(
-            "NCS-55A1-24H", ("QSFP28-100G-DAC", "QSFP28-100G-LR4",
-                             "QSFP28-100G-SR4"), args.seed + 11),
-    }
+    models = lab_models(args.seed)
     reports = {
         hostname: validate_router(
             hostname=hostname, trace=result.snmp[hostname],
@@ -639,14 +654,10 @@ def _cmd_validate(args) -> int:
 def _monitor_scenario(args):
     """Build the small monitored deployment ``netpower monitor`` runs.
 
-    Shared with the test-suite so the CLI smoke test and the e2e tests
-    exercise the same scenario.  Returns ``(sim, monitor, events,
-    targets)`` ready for ``sim.run``.
+    The e2e tests build the same fleet and share :func:`lab_models`.
+    Returns ``(sim, monitor, events, targets)`` ready for ``sim.run``.
     """
     from repro import units
-    from repro.core import derive_power_model
-    from repro.hardware import VirtualRouter, router_spec
-    from repro.lab import ExperimentPlan, Orchestrator
     from repro.monitor import FleetMonitor
     from repro.network import (DegradePsu, FleetConfig, FleetTrafficModel,
                                NetworkSimulation,
@@ -671,27 +682,7 @@ def _monitor_scenario(args):
     for hostname in targets.values():
         sim.deploy_autopower(hostname)
 
-    def lab_model(device, trx_names, seed):
-        rng = np.random.default_rng(seed)
-        dut = VirtualRouter(router_spec(device), rng=rng, noise_std_w=0.2)
-        orchestrator = Orchestrator(dut, rng=rng)
-        suites = [orchestrator.run_suite(ExperimentPlan(
-            trx_name=trx, n_pairs_values=(1, 2, 4),
-            rates_gbps=(10, 50, 100), packet_sizes=(256, 1500),
-            measure_duration_s=10, settle_time_s=1))
-            for trx in trx_names]
-        model, _ = derive_power_model(suites)
-        return model
-
-    models = {
-        "8201-32FH": lab_model(
-            "8201-32FH", ("QSFP-DD-400G-FR4", "QSFP-DD-400G-LR4",
-                          "QSFP-DD-400G-DAC", "QSFP28-100G-LR4"),
-            args.seed + 10),
-        "NCS-55A1-24H": lab_model(
-            "NCS-55A1-24H", ("QSFP28-100G-DAC", "QSFP28-100G-LR4",
-                             "QSFP28-100G-SR4"), args.seed + 11),
-    }
+    models = lab_models(args.seed)
     monitor = FleetMonitor(models=models)
     sim.add_observer(monitor)
     events = []

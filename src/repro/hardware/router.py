@@ -160,8 +160,9 @@ class Port:
         return 0.0
 
     @property
-    def peer(self) -> Optional["Port"]:
-        """The endpoint at the other end of the cable, if any."""
+    def peer(self) -> Optional[Union["Port", "ExternalPeerPort"]]:
+        """The endpoint at the other end of the cable, if any: a fleet
+        port, or an :class:`ExternalPeerPort` outside the fleet."""
         if self.cable is None:
             return None
         return self.cable.other(self)
@@ -186,7 +187,7 @@ class Port:
 
     def _mark_peer_dirty(self) -> None:
         peer = self.peer
-        if peer is not None and hasattr(peer, "_mark_dirty"):
+        if isinstance(peer, Port):
             peer._mark_dirty()
 
     # -- configuration -------------------------------------------------------
@@ -337,10 +338,11 @@ class Port:
 class Cable:
     """A physical cable (or fibre pair) between two endpoints."""
 
-    a: object
-    b: object
+    a: Union[Port, "ExternalPeerPort"]
+    b: Union[Port, "ExternalPeerPort"]
 
-    def other(self, port: object) -> object:
+    def other(self, port: Union[Port, "ExternalPeerPort"],
+              ) -> Union[Port, "ExternalPeerPort"]:
         """The far end relative to ``port``."""
         if port is self.a:
             return self.b
@@ -350,7 +352,23 @@ class Cable:
                          f"end of this cable")
 
 
-def connect(a: Port, b: Port) -> Cable:
+@dataclass
+class ExternalPeerPort:
+    """A cable end outside the fleet: another network's port, or the
+    orchestrator's NIC at either end of a lab snake.
+
+    It carries only what a router port's link-state logic reads, and is
+    always plugged and admin-up, so a port cabled to it behaves like a
+    live customer, peer or test-host link.
+    """
+
+    name: str
+    plugged: bool = True
+    admin_up: bool = True
+    cable: Optional[Cable] = None
+
+
+def connect(a: Port, b: Union[Port, ExternalPeerPort]) -> Cable:
     """Cable two ports together (replacing any existing cables)."""
     disconnect(a)
     disconnect(b)
@@ -358,19 +376,19 @@ def connect(a: Port, b: Port) -> Cable:
     a.cable = cable
     b.cable = cable
     for end in (a, b):
-        if hasattr(end, "_mark_dirty"):
+        if isinstance(end, Port):
             end._mark_dirty()
     return cable
 
 
-def disconnect(port: Port) -> None:
+def disconnect(port: Union[Port, ExternalPeerPort]) -> None:
     """Remove the cable attached to a port, if any."""
     cable = port.cable
     if cable is None:
         return
     for end in (cable.a, cable.b):
         end.cable = None
-        if hasattr(end, "_mark_dirty"):
+        if isinstance(end, Port):
             end._mark_dirty()
 
 

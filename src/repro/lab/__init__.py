@@ -16,7 +16,6 @@ from repro.lab.power_meter import (
 )
 from repro.lab.traffic_gen import Flow, TrafficGenerator
 from repro.lab.snake import (
-    EndHostPort,
     SnakeLayout,
     apply_snake_traffic,
     cable_pairs,
@@ -47,7 +46,6 @@ __all__ = [
     "summarize",
     "Flow",
     "TrafficGenerator",
-    "EndHostPort",
     "SnakeLayout",
     "apply_snake_traffic",
     "cable_pairs",

@@ -16,22 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.hardware.router import Cable, Port, connect, disconnect
+from repro.hardware.router import (Cable, ExternalPeerPort, Port, connect,
+                                   disconnect)
 from repro.lab.traffic_gen import Flow
-
-
-@dataclass
-class EndHostPort:
-    """A NIC port on the orchestrator, duck-typed as a cable endpoint.
-
-    Only the attributes the DUT's link-state logic inspects are provided:
-    a host NIC is always "plugged" and "admin up".
-    """
-
-    name: str
-    plugged: bool = True
-    admin_up: bool = True
-    cable: object = None
 
 
 @dataclass
@@ -39,8 +26,8 @@ class SnakeLayout:
     """The result of snake cabling: the ordered DUT port chain."""
 
     ports: List[Port]
-    host_tx: EndHostPort
-    host_rx: EndHostPort
+    host_tx: ExternalPeerPort
+    host_rx: ExternalPeerPort
 
     @property
     def n_pairs(self) -> int:
@@ -65,8 +52,8 @@ def cable_snake(ports: Sequence[Port]) -> SnakeLayout:
         raise ValueError(f"snake cabling needs an even port count, got {len(ports)}")
     if not ports:
         raise ValueError("snake cabling needs at least one port pair")
-    host_tx = EndHostPort(name="orchestrator-tx")
-    host_rx = EndHostPort(name="orchestrator-rx")
+    host_tx = ExternalPeerPort(name="orchestrator-tx")
+    host_rx = ExternalPeerPort(name="orchestrator-rx")
     connect(ports[0], host_tx)
     for i in range(1, len(ports) - 1, 2):
         connect(ports[i], ports[i + 1])

@@ -14,6 +14,12 @@ masks, router ownership indices -- so one simulation step becomes a few
 array operations (scatter the link rates, accumulate counters, segment-sum
 power per router) instead of O(ports) Python calls.
 
+One step loop, in :meth:`NetworkSimulation.run
+<repro.network.simulation.NetworkSimulation.run>`, drives both engines:
+it owns the order of a step (events, advance, wall power, SNMP poll,
+view sync, Autopower, observers) and calls its engine's kernels for the
+O(fleet) work.  :class:`VectorizedEngine` supplies the columnar kernels.
+
 Contracts that keep the fast path exactly equivalent to the object path:
 
 * **Objects stay the source of truth.**  Events mutate the
@@ -64,12 +70,11 @@ from repro.hardware.catalog import PsuConfig
 from repro.hardware.psu import QuadraticLossCurve, ScaledLossCurve, SharingPolicy
 from repro.hardware.router import (OfferedTraffic, Port, VirtualRouter,
                                    inversion_grid)
-from repro.obs import metrics
+from repro.obs import metrics, tracing
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.network.events import FleetEvent
     from repro.network.topology import ISPNetwork
-    from repro.obs.ledger import LedgerAccumulator
     from repro.telemetry.snmp import SnmpCollector
 
 #: Noise correlation time of the routers' AR(1) ambient noise (matches
@@ -763,7 +768,7 @@ class FleetState:
     # -- one simulation step, vectorized ----------------------------------------------
 
     def apply_traffic(self, t_s: float) -> float:
-        """Vectorised mirror of ``NetworkSimulation._apply_traffic``.
+        """Vectorised mirror of the object kernels' ``_apply_traffic``.
 
         Consumes the traffic model's RNG exactly like the object path
         (externals first, then the internal factor) and returns total
@@ -970,14 +975,17 @@ class FleetState:
 
 
 class VectorizedEngine:
-    """Drives one :class:`NetworkSimulation` run through the fast path.
+    """The columnar step kernels of one :class:`NetworkSimulation` run.
 
-    Mirrors ``NetworkSimulation.run``'s step loop exactly -- events, then
-    traffic, then counter/noise advance, then power sampling, SNMP polls
-    and Autopower ticks -- but with all O(ports) work columnar.
+    ``NetworkSimulation.run`` steps the fleet with one loop for both
+    engines; this class supplies the O(fleet) work -- ``apply_events``,
+    ``advance``, ``wall_power``, ``poll``, ``sync_views`` and ``finish``
+    -- as array operations over a :class:`FleetState`.  What is its own:
+    the state, the choice between an incremental patch and a full
+    refresh at each event boundary, and the AR(1) noise constants.
     """
 
-    def __init__(self, simulation):
+    def __init__(self, simulation, step_s: float):
         self.sim = simulation
         #: Captured at construction so one run is internally consistent
         #: even if the module flag is toggled mid-run (tests do).
@@ -986,164 +994,96 @@ class VectorizedEngine:
             simulation.network, simulation.traffic,
             new_external_link_ids=simulation._new_external_link_ids,
             view_hosts=simulation._view_hosts())
+        self._rho = float(np.exp(-step_s / _NOISE_TAU_S))
+        self._innovation_scale = float(np.sqrt(max(0.0, 1 - self._rho ** 2)))
+        self._innovation_std = self.state.noise_std * self._innovation_scale
+        self._observing = metrics.enabled()
+        self._patch_durations: List[float] = []
 
-    def run_steps(self, n_steps: int, step_s: float,
-                  pending: Sequence["FleetEvent"],
-                  collector: "SnmpCollector",
-                  snmp_period_s: float, detailed_hosts: Sequence[str],
-                  grid: np.ndarray, total_power: np.ndarray,
-                  total_traffic: np.ndarray,
-                  ledger: Optional["LedgerAccumulator"] = None) -> None:
-        """Advance the fleet ``n_steps`` columnar steps in place.
+    def apply_events(self, boundary: Sequence["FleetEvent"]) -> None:
+        """Fire one boundary's events and bring the columns up to date.
 
-        Mirrors the object engine's stepping contract exactly --
-        events at step boundaries, SNMP polling cadence, observer and
-        Autopower hooks -- filling the caller's pre-allocated
-        ``grid`` / ``total_power`` / ``total_traffic`` columns.  With a
-        ``ledger``, each step additionally writes the attribution split
-        into the ledger's buffer (see :meth:`FleetState.wall_power`);
-        the wall-power floats are unchanged either way.
+        Authority goes back to the objects first: the affected column
+        state is flushed and the events apply.  The configuration is then
+        patched in place when every event declares its dirty routers, or
+        rebuilt wholesale when any event may reshape the links.
         """
         sim = self.sim
         state = self.state
-        rho = float(np.exp(-step_s / _NOISE_TAU_S))
-        innovation_std = state.noise_std * float(
-            np.sqrt(max(0.0, 1 - rho ** 2)))
-        next_poll_s = sim.clock_s
-        event_idx = 0
-        hostnames = [r.hostname for r in state.routers]
-        # Step latencies are collected locally and handed to the
-        # histogram in one batched observe_many after the loop, so the
-        # hot path never crosses the instrument layer per step.
-        from repro.network.simulation import (M_EVENTS, M_SNMP_POLLS,
-                                              M_STEP_SECONDS, StepSnapshot)
-        from repro.obs import tracing
-        from repro.obs.ledger import COMPONENTS
-        # Kernel spans resolve to a shared no-op context while tracing
-        # is disabled; timing stays in the tracer side-channel and
-        # never touches simulation state.
-        span = tracing.span
-        observing = metrics.enabled()
-        observers = sim.observers
-        step_durations: List[float] = []
-        patch_durations: List[float] = []
-
-        for step in range(n_steps):
-            if observing:
+        M_EVENT_BOUNDARIES.inc()
+        dirty: Optional[set] = set() if self.incremental else None
+        if dirty is not None:
+            for event in boundary:
+                declared = event.dirty_hosts(sim)
+                if declared is None:
+                    dirty = None
+                    break
+                dirty.update(declared)
+        if dirty is None:
+            with tracing.span("kernel.refresh"):
+                state.flush_counters()
+                state.flush_noise()
+                sim._fire(boundary)
+                state.snapshot_counters()
+                state.refresh(sim._new_external_link_ids,
+                              sim._view_hosts())
+        else:
+            if self._observing:
                 # netpower: ignore[NP-DET-001] -- wall-clock here only
-                # feeds the step-latency histogram (an observability
-                # side-channel); it never reaches simulation state or
-                # any deterministic report.
-                step_t0 = time.perf_counter()
-            t = sim.clock_s
-            if event_idx < len(pending) and pending[event_idx].at_s <= t:
-                # Event boundary: hand authority back to the objects,
-                # apply, then refresh the columnar config -- patched in
-                # place when every event declares its dirty routers,
-                # rebuilt wholesale when any event reshapes the links.
-                M_EVENT_BOUNDARIES.inc()
-                boundary: List["FleetEvent"] = []
-                while (event_idx < len(pending)
-                       and pending[event_idx].at_s <= t):
-                    boundary.append(pending[event_idx])
-                    event_idx += 1
-                dirty: Optional[set] = set() if self.incremental else None
-                if dirty is not None:
-                    for event in boundary:
-                        declared = event.dirty_hosts(sim)
-                        if declared is None:
-                            dirty = None
-                            break
-                        dirty.update(declared)
-                if dirty is None:
-                    with span("kernel.refresh"):
-                        state.flush_counters()
-                        state.flush_noise()
-                        for event in boundary:
-                            M_EVENTS.labels(
-                                type=type(event).__name__).inc()
-                            event.apply(sim)
-                        state.snapshot_counters()
-                        state.refresh(sim._new_external_link_ids,
-                                      sim._view_hosts())
-                else:
-                    if observing:
-                        # netpower: ignore[NP-DET-001] -- wall-clock here
-                        # only feeds the patch-latency histogram; it
-                        # never reaches simulation state.
-                        patch_t0 = time.perf_counter()
-                    hosts = sorted(dirty)
-                    with span("kernel.patch_routers"):
-                        state.flush_counters(hosts)
-                        state.flush_noise(hosts)
-                        for event in boundary:
-                            M_EVENTS.labels(
-                                type=type(event).__name__).inc()
-                            event.apply(sim)
-                        state.snapshot_counters(hosts)
-                        state.patch_routers(hosts)
-                        state._refresh_views(sim._view_hosts())
-                    M_PARTIAL_REFRESH.inc()
-                    if observing:
-                        # netpower: ignore[NP-DET-001] -- same
-                        # side-channel as patch_t0 above.
-                        patch_dt = time.perf_counter() - patch_t0
-                        patch_durations.append(patch_dt)
-                innovation_std = state.noise_std * float(
-                    np.sqrt(max(0.0, 1 - rho ** 2)))
-            with span("kernel.apply_traffic"):
-                ingress = state.apply_traffic(t)
-            with span("kernel.advance_counters"):
-                state.advance_counters(step_s)
-            with span("kernel.advance_noise"):
-                state.advance_noise(rho, innovation_std)
-            sim.clock_s += step_s
-            t_sample = sim.clock_s
-            grid[step] = t_sample
-            if ledger is None:
-                with span("kernel.wall_power"):
-                    wall = state.wall_power()
-                fleet_attr = None
-            else:
-                with span("kernel.wall_power"):
-                    wall = state.wall_power(components=ledger.power_buf)
-                fleet_attr = ledger.record(t_sample, step_s,
-                                           ledger.power_buf, wall)
-            total_power[step] = wall.sum()
-            total_traffic[step] = ingress
-            polled = t_sample >= next_poll_s
-            if polled:
-                M_SNMP_POLLS.inc()
-                collector.record_vector(t_sample, hostnames, wall, state)
-                next_poll_s += max(snmp_period_s, step_s)
-            if state._view_routers:
-                with span("kernel.sync_views"):
-                    state.sync_views()
-            if sim.autopower_clients:
-                with span("kernel.autopower"):
-                    for client in sim.autopower_clients.values():
-                        client.tick(t_sample)
-            if observers:
-                with span("kernel.observers"):
-                    power_by_host = dict(zip(hostnames, wall.tolist()))
-                    snapshot = StepSnapshot(
-                        step=step, t_s=t_sample, step_s=step_s,
-                        total_power_w=float(total_power[step]),
-                        total_traffic_bps=float(ingress),
-                        power_by_host=power_by_host, snmp_polled=polled,
-                        attribution=(
-                            None if fleet_attr is None else
-                            {name: float(fleet_attr[k])
-                             for k, name in enumerate(COMPONENTS)}))
-                    for observer in observers:
-                        observer.on_step(snapshot)
-            if observing:
+                # feeds the patch-latency histogram; it never reaches
+                # simulation state.
+                patch_t0 = time.perf_counter()
+            hosts = sorted(dirty)
+            with tracing.span("kernel.patch_routers"):
+                state.flush_counters(hosts)
+                state.flush_noise(hosts)
+                sim._fire(boundary)
+                state.snapshot_counters(hosts)
+                state.patch_routers(hosts)
+                state._refresh_views(sim._view_hosts())
+            M_PARTIAL_REFRESH.inc()
+            if self._observing:
                 # netpower: ignore[NP-DET-001] -- same side-channel as
-                # step_t0 above.
-                step_durations.append(time.perf_counter() - step_t0)
-        state.flush_all()
-        if step_durations:
-            M_STEP_SECONDS.labels(engine="vector").observe_many(
-                step_durations)
-        if patch_durations:
-            M_PATCH_SECONDS.observe_many(patch_durations)
+                # patch_t0 above.
+                self._patch_durations.append(time.perf_counter() - patch_t0)
+        self._innovation_std = state.noise_std * self._innovation_scale
+
+    def advance(self, t_s: float, step_s: float) -> float:
+        """Scatter the step's traffic, then advance counters and noise;
+        returns the total external ingress bps."""
+        state = self.state
+        with tracing.span("kernel.apply_traffic"):
+            ingress = state.apply_traffic(t_s)
+        with tracing.span("kernel.advance_counters"):
+            state.advance_counters(step_s)
+        with tracing.span("kernel.advance_noise"):
+            state.advance_noise(self._rho, self._innovation_std)
+        return ingress
+
+    def wall_power(self, components: Optional[np.ndarray],
+                   ) -> Tuple[np.ndarray, float]:
+        """Per-router wall power in fleet order, and the fleet total.
+
+        With ``components`` (the ledger's buffer), the attribution split
+        is written into it as well (see :meth:`FleetState.wall_power`);
+        the wall-power floats are unchanged either way.
+        """
+        wall = self.state.wall_power(components)
+        return wall, wall.sum()
+
+    def poll(self, collector: "SnmpCollector", t_s: float,
+             hostnames: Sequence[str], wall: np.ndarray) -> None:
+        """One SNMP poll straight off the columns."""
+        collector.record_vector(t_s, hostnames, wall, self.state)
+
+    def sync_views(self) -> None:
+        """Flush the view routers' traffic and noise to their objects."""
+        if self.state._view_routers:
+            with tracing.span("kernel.sync_views"):
+                self.state.sync_views()
+
+    def finish(self) -> None:
+        """Write every column back to the objects after the last step."""
+        self.state.flush_all()
+        if self._patch_durations:
+            M_PATCH_SECONDS.observe_many(self._patch_durations)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Optional
 
-from repro.network.topology import (ExternalPeerPort, ISPNetwork, Link,
-                                    LinkEnd, LinkKind)
-from repro.hardware.router import connect, disconnect
+from repro.network.topology import ISPNetwork, Link, LinkEnd, LinkKind
+from repro.hardware.router import ExternalPeerPort, connect, disconnect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.network.simulation import NetworkSimulation

@@ -16,15 +16,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro import units
+from repro.network.attribution import router_breakdown
 from repro.network.events import FleetEvent
 from repro.network.topology import ISPNetwork, Link
 from repro.network.traffic import FleetTrafficModel
 from repro.obs import metrics, tracing
+from repro.obs.ledger import COMPONENTS, LedgerAccumulator
 from repro.obs.logging import get_logger
 from repro.telemetry.autopower import (AutopowerClient, AutopowerServer,
                                        Transport, deploy_unit)
@@ -33,7 +36,6 @@ from repro.telemetry.traces import TimeSeries
 
 if TYPE_CHECKING:
     from repro.network.engine import VectorizedEngine
-    from repro.obs.ledger import LedgerAccumulator
 
 #: Average payload size assigned to fleet traffic (IMIX-flavoured).
 FLEET_PACKET_BYTES = 700.0
@@ -146,7 +148,7 @@ class SimulationResult:
     sensor_exports: List[PsuSensorExport]
     #: Per-router, per-component energy ledger (``None`` unless the run
     #: was started with ``attribution=True``).
-    ledger: Optional["LedgerAccumulator"] = None
+    ledger: Optional[LedgerAccumulator] = None
 
     def network_median_power_w(self) -> float:
         """Median of the total network power over the run."""
@@ -210,34 +212,11 @@ class NetworkSimulation:
         if new_external is not None:
             self._new_external_link_ids.add(new_external.link_id)
 
-    # -- traffic application ----------------------------------------------------------
-
-    def _apply_traffic(self, t_s: float) -> float:
-        """Set offered traffic on every port; returns total ingress bps."""
-        external_rates = self.traffic.external_rates_at(t_s)
-        internal_rates = self.traffic.internal_rates_at(t_s)
-        total_ingress = 0.0
-        for link in self.network.links:
-            port_a = self.network.port_of(link.a)
-            if link.is_internal:
-                rate = internal_rates.get(link.link_id, 0.0)
-                rate = min(rate, 0.95 * units.gbps_to_bps(link.speed_gbps))
-                port_b = self.network.port_of(link.b)
-                port_a.offer_traffic(rx_bps=rate, tx_bps=rate,
-                                     packet_bytes=FLEET_PACKET_BYTES)
-                port_b.offer_traffic(rx_bps=rate, tx_bps=rate,
-                                     packet_bytes=FLEET_PACKET_BYTES)
-            else:
-                rate = external_rates.get(link.link_id, 0.0)
-                if rate == 0.0 and link.link_id in self._new_external_link_ids:
-                    # Links added mid-run get a modest default demand.
-                    rate = 0.02 * units.gbps_to_bps(link.speed_gbps)
-                if not port_a.link_up:
-                    rate = 0.0
-                port_a.offer_traffic(rx_bps=rate, tx_bps=rate,
-                                     packet_bytes=FLEET_PACKET_BYTES)
-                total_ingress += rate
-        return total_ingress
+    def _fire(self, events: Sequence[FleetEvent]) -> None:
+        """Apply one step boundary's due events, in schedule order."""
+        for event in events:
+            M_EVENTS.labels(type=type(event).__name__).inc()
+            event.apply(self)
 
     # -- the main loop -------------------------------------------------------------------
 
@@ -264,11 +243,13 @@ class NetworkSimulation:
             power is always recorded).  Defaults to the Autopower'd hosts
             plus any event targets; pass explicitly for full control.
         engine:
-            ``"auto"`` (default) uses the vectorized fast path when the
-            fleet supports it, ``"vector"`` forces it (raising if the
-            fleet does not support it), ``"object"`` forces the original
-            per-object loop.  See :mod:`repro.network.engine`; results
-            agree within float tolerance (docs/PERFORMANCE.md).
+            ``"auto"`` (default) uses the vectorized kernels when the
+            fleet supports them, ``"vector"`` forces them (raising if
+            the fleet does not support them), ``"object"`` forces the
+            original per-object kernels.  One step loop drives both
+            engines; only the kernels differ (see
+            :mod:`repro.network.engine`), and results agree within float
+            tolerance (docs/PERFORMANCE.md).
         attribution:
             When ``True``, run an energy attribution ledger alongside the
             simulation: every step each router's wall power is split into
@@ -306,41 +287,106 @@ class NetworkSimulation:
         collector = SnmpCollector(
             list(self.network.routers.values()),
             detailed_hosts=detailed_hosts)
-        ledger: Optional["LedgerAccumulator"] = None
+        hostnames = list(self.network.routers)
+        ledger: Optional[LedgerAccumulator] = None
         if attribution:
-            from repro.obs.ledger import LedgerAccumulator
             # Only a timeline keeps the per-step series that the ledger
             # hands over as counter tracks.
             tracer = tracing.get_tracer()
             ledger = LedgerAccumulator(
-                list(self.network.routers),
+                hostnames,
                 track_series=tracer is not None and tracer.timeline)
+        power_buf = None if ledger is None else ledger.power_buf
 
         n_steps = int(round(duration_s / step_s))
         grid = np.empty(n_steps)
         total_power = np.empty(n_steps)
         total_traffic = np.empty(n_steps)
+        observers = self.observers
+        # Kernel spans resolve to a shared no-op context while tracing
+        # is disabled (see repro.obs.tracing).
+        span = tracing.span
+        # Step latencies are collected locally and handed to the
+        # histogram in one batched observe_many after the loop.
+        observing = metrics.enabled()
+        step_durations: List[float] = []
 
         M_ENGINE_RUNS.labels(engine=engine).inc()
         with tracing.span("sim.run", sim_clock=lambda: self.clock_s,
                           engine=engine, requested=requested,
                           n_steps=n_steps,
                           routers=len(self.network.routers)):
-            for observer in self.observers:
+            for observer in observers:
                 observer.on_run_start(self, engine, collector, step_s,
                                       n_steps)
             with tracing.span("sim.steps", sim_clock=lambda: self.clock_s):
+                kernels: Union[VectorizedEngine, _ObjectKernels]
                 if engine == "vector":
-                    vec = VectorizedEngine(self)
-                    self.last_vector_engine = vec
-                    vec.run_steps(
-                        n_steps, step_s, pending, collector, snmp_period_s,
-                        detailed_hosts, grid, total_power, total_traffic,
-                        ledger=ledger)
+                    kernels = VectorizedEngine(self, step_s)
+                    self.last_vector_engine = kernels
                 else:
-                    self._run_steps_object(
-                        n_steps, step_s, pending, collector, snmp_period_s,
-                        grid, total_power, total_traffic, ledger=ledger)
+                    kernels = _ObjectKernels(self)
+                next_poll_s = self.clock_s
+                event_idx = 0
+                for step in range(n_steps):
+                    if observing:
+                        # netpower: ignore[NP-DET-001] -- wall-clock here
+                        # only feeds the step-latency histogram (an
+                        # observability side-channel); simulation
+                        # results never read it.
+                        step_t0 = time.perf_counter()
+                    t = self.clock_s
+                    due = event_idx
+                    while (event_idx < len(pending)
+                           and pending[event_idx].at_s <= t):
+                        event_idx += 1
+                    if event_idx > due:
+                        kernels.apply_events(pending[due:event_idx])
+                    ingress = kernels.advance(t, step_s)
+                    self.clock_s += step_s
+                    t_sample = self.clock_s
+                    grid[step] = t_sample
+                    with span("kernel.wall_power"):
+                        wall, total_power[step] = kernels.wall_power(
+                            power_buf)
+                    total_traffic[step] = ingress
+                    fleet_attr = None
+                    if ledger is not None:
+                        fleet_attr = ledger.record(t_sample, step_s,
+                                                   power_buf, wall)
+                    polled = t_sample >= next_poll_s
+                    if polled:
+                        M_SNMP_POLLS.inc()
+                        kernels.poll(collector, t_sample, hostnames, wall)
+                        next_poll_s += max(snmp_period_s, step_s)
+                    kernels.sync_views()
+                    if self.autopower_clients:
+                        with span("kernel.autopower"):
+                            for client in self.autopower_clients.values():
+                                client.tick(t_sample)
+                    if observers:
+                        with span("kernel.observers"):
+                            snapshot = StepSnapshot(
+                                step=step, t_s=t_sample, step_s=step_s,
+                                total_power_w=float(total_power[step]),
+                                total_traffic_bps=float(ingress),
+                                power_by_host=dict(zip(hostnames,
+                                                       wall.tolist())),
+                                snmp_polled=polled,
+                                attribution=(
+                                    None if fleet_attr is None else
+                                    {name: float(fleet_attr[k])
+                                     for k, name in enumerate(COMPONENTS)}))
+                            for observer in observers:
+                                observer.on_step(snapshot)
+                    if observing:
+                        # netpower: ignore[NP-DET-001] -- same
+                        # side-channel as step_t0 above.
+                        step_durations.append(time.perf_counter() - step_t0)
+                kernels.finish()
+            if step_durations:
+                M_STEP_SECONDS.labels(engine=engine).observe_many(
+                    step_durations)
 
             with tracing.span("sim.finalize",
                               sim_clock=lambda: self.clock_s):
@@ -374,107 +420,93 @@ class NetworkSimulation:
                          if n_steps else 0.0})
         return result
 
-    def _run_steps_object(self, n_steps: int, step_s: float, pending,
-                          collector: SnmpCollector, snmp_period_s: float,
-                          grid: np.ndarray, total_power: np.ndarray,
-                          total_traffic: np.ndarray,
-                          ledger: Optional["LedgerAccumulator"] = None,
-                          ) -> None:
-        """The original per-object step loop (reference implementation)."""
-        if ledger is not None:
-            from repro.network.attribution import router_breakdown
-            from repro.obs.ledger import COMPONENTS
-        next_poll_s = self.clock_s
-        event_idx = 0
-        # Kernel spans resolve to a shared no-op context while tracing
-        # is disabled (see repro.obs.tracing).
-        span = tracing.span
-        observing = metrics.enabled()
-        observers = self.observers
-        step_durations: List[float] = []
-        for step in range(n_steps):
-            if observing:
-                # netpower: ignore[NP-DET-001] -- wall-clock here only
-                # feeds the step-latency histogram (an observability
-                # side-channel); simulation results never read it.
-                step_t0 = time.perf_counter()
-            t = self.clock_s
-            if event_idx < len(pending) and pending[event_idx].at_s <= t:
-                with span("kernel.events"):
-                    while (event_idx < len(pending)
-                           and pending[event_idx].at_s <= t):
-                        M_EVENTS.labels(
-                            type=type(pending[event_idx]).__name__).inc()
-                        pending[event_idx].apply(self)
-                        event_idx += 1
-            with span("kernel.apply_traffic"):
-                ingress = self._apply_traffic(t)
-            with span("kernel.advance_counters"):
-                for router in self.network.routers.values():
-                    router.advance(step_s)
-            self.clock_s += step_s
-            t_sample = self.clock_s
-            grid[step] = t_sample
-            fleet_attr = None
-            if ledger is not None:
-                # router_breakdown returns the same wall power as
-                # wall_power_w(); summed in the same sequential order as
-                # total_wall_power_w(), so totals stay byte-identical
-                # with attribution on.
-                buf = ledger.power_buf
-                power_by_host = {}
-                total = 0.0
-                with span("kernel.wall_power"):
-                    for i, (host, router) in enumerate(
-                            self.network.routers.items()):
-                        wall = router_breakdown(router, buf[i])
-                        power_by_host[host] = wall
-                        total += wall
-                total_power[step] = total
-                fleet_attr = ledger.record(
-                    t_sample, step_s, buf,
-                    np.array(list(power_by_host.values())))
-            elif observers:
-                # One wall-power read per router, summed in the same
-                # sequential order as total_wall_power_w() so the total
-                # stays byte-identical with observers attached.
-                with span("kernel.wall_power"):
-                    power_by_host = {host: router.wall_power_w()
-                                     for host, router
-                                     in self.network.routers.items()}
-                    total = 0.0
-                    for value in power_by_host.values():
-                        total += value
-                total_power[step] = total
+
+class _ObjectKernels:
+    """The per-object step kernels: every router and link, one call each.
+
+    :meth:`NetworkSimulation.run` steps the fleet with one loop for both
+    engines and delegates the O(fleet) work to six kernels:
+    ``apply_events``, ``advance``, ``wall_power``, ``poll``,
+    ``sync_views`` and ``finish``.  These are the reference ones;
+    :class:`~repro.network.engine.VectorizedEngine` supplies the same six
+    over columnar state.
+    """
+
+    def __init__(self, simulation: NetworkSimulation):
+        self.sim = simulation
+        self.routers = list(simulation.network.routers.values())
+
+    def apply_events(self, boundary: Sequence[FleetEvent]) -> None:
+        """Fire the boundary's events straight on the objects."""
+        with tracing.span("kernel.events"):
+            self.sim._fire(boundary)
+
+    def advance(self, t_s: float, step_s: float) -> float:
+        """Offer the step's traffic, then advance every router's counters
+        and noise; returns the total external ingress bps."""
+        with tracing.span("kernel.apply_traffic"):
+            ingress = self._apply_traffic(t_s)
+        with tracing.span("kernel.advance_counters"):
+            for router in self.routers:
+                router.advance(step_s)
+        return ingress
+
+    def _apply_traffic(self, t_s: float) -> float:
+        """Set offered traffic on every port; returns total ingress bps."""
+        sim = self.sim
+        network = sim.network
+        external_rates = sim.traffic.external_rates_at(t_s)
+        internal_rates = sim.traffic.internal_rates_at(t_s)
+        total_ingress = 0.0
+        for link in network.links:
+            port_a = network.port_of(link.a)
+            if link.is_internal:
+                rate = internal_rates.get(link.link_id, 0.0)
+                rate = min(rate, 0.95 * units.gbps_to_bps(link.speed_gbps))
+                port_b = network.port_of(link.b)
+                port_a.offer_traffic(rx_bps=rate, tx_bps=rate,
+                                     packet_bytes=FLEET_PACKET_BYTES)
+                port_b.offer_traffic(rx_bps=rate, tx_bps=rate,
+                                     packet_bytes=FLEET_PACKET_BYTES)
             else:
-                with span("kernel.wall_power"):
-                    total_power[step] = self.network.total_wall_power_w()
-            total_traffic[step] = ingress
-            polled = t_sample >= next_poll_s
-            if polled:
-                M_SNMP_POLLS.inc()
-                collector.record(t_sample)
-                next_poll_s += max(snmp_period_s, step_s)
-            if self.autopower_clients:
-                with span("kernel.autopower"):
-                    for client in self.autopower_clients.values():
-                        client.tick(t_sample)
-            if observers:
-                with span("kernel.observers"):
-                    snapshot = StepSnapshot(
-                        step=step, t_s=t_sample, step_s=step_s,
-                        total_power_w=float(total_power[step]),
-                        total_traffic_bps=float(ingress),
-                        power_by_host=power_by_host, snmp_polled=polled,
-                        attribution=(None if fleet_attr is None else
-                                     {name: float(fleet_attr[k])
-                                      for k, name in enumerate(COMPONENTS)}))
-                    for observer in observers:
-                        observer.on_step(snapshot)
-            if observing:
-                # netpower: ignore[NP-DET-001] -- same side-channel as
-                # above: latency only, never simulation state.
-                step_durations.append(time.perf_counter() - step_t0)
-        if step_durations:
-            M_STEP_SECONDS.labels(engine="object").observe_many(
-                step_durations)
+                rate = external_rates.get(link.link_id, 0.0)
+                if rate == 0.0 and link.link_id in sim._new_external_link_ids:
+                    # Links added mid-run get a modest default demand.
+                    rate = 0.02 * units.gbps_to_bps(link.speed_gbps)
+                if not port_a.link_up:
+                    rate = 0.0
+                port_a.offer_traffic(rx_bps=rate, tx_bps=rate,
+                                     packet_bytes=FLEET_PACKET_BYTES)
+                total_ingress += rate
+        return total_ingress
+
+    def wall_power(self, components: Optional[np.ndarray],
+                   ) -> Tuple[np.ndarray, float]:
+        """Per-router wall power in fleet order, and the fleet total.
+
+        With ``components`` (the ledger's buffer), each router's row is
+        filled by :func:`~repro.network.attribution.router_breakdown`,
+        which returns the same float as ``wall_power_w()``.  The total
+        is a sequential sum in router order whether or not the ledger
+        or observers are on, so neither changes its bits.
+        """
+        if components is None:
+            walls = [router.wall_power_w() for router in self.routers]
+        else:
+            walls = [router_breakdown(router, row)
+                     for router, row in zip(self.routers, components)]
+        total = 0.0
+        for wall in walls:
+            total += wall
+        return np.array(walls), total
+
+    def poll(self, collector: SnmpCollector, t_s: float,
+             hostnames: Sequence[str], wall: np.ndarray) -> None:
+        """One SNMP poll that reuses the step's wall power."""
+        collector.record(t_s, dict(zip(hostnames, wall.tolist())))
+
+    def sync_views(self) -> None:
+        """Nothing to do: the objects are the state."""
+
+    def finish(self) -> None:
+        """Nothing to flush: the objects are the state."""

@@ -32,7 +32,8 @@ import numpy as np
 from repro import units
 
 from repro.hardware.catalog import ROUTER_CATALOG, router_spec
-from repro.hardware.router import Port, VirtualRouter, connect
+from repro.hardware.router import (ExternalPeerPort, Port, VirtualRouter,
+                                   connect)
 from repro.hardware.transceiver import (
     PortType,
     Reach,
@@ -40,20 +41,6 @@ from repro.hardware.transceiver import (
     TransceiverModel,
     compatible,
 )
-
-
-@dataclass
-class ExternalPeerPort:
-    """The far end of an external link: another network's port.
-
-    Duck-typed as a cable endpoint that is always plugged and up, so the
-    local interface's link state behaves like a live customer/peer link.
-    """
-
-    name: str
-    plugged: bool = True
-    admin_up: bool = True
-    cable: object = None
 
 
 class LinkKind:

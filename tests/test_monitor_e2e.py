@@ -23,9 +23,8 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.core import derive_power_model
+from repro.cli import lab_models
 from repro.hardware import VirtualRouter, connect, router_spec
-from repro.lab import ExperimentPlan, Orchestrator
 from repro.monitor import FleetMonitor, build_snapshot, snapshot_json
 from repro.monitor.schema import validate as validate_schema
 from repro.network import (DegradePsu, FleetConfig, FleetTrafficModel,
@@ -45,30 +44,9 @@ SMALL = FleetConfig(
     n_regional_pops=1, core_core_links=1)
 
 
-def _lab_model(device, trx_names, seed):
-    rng = np.random.default_rng(seed)
-    dut = VirtualRouter(router_spec(device), rng=rng, noise_std_w=0.2)
-    orchestrator = Orchestrator(dut, rng=rng)
-    suites = [orchestrator.run_suite(ExperimentPlan(
-        trx_name=trx, n_pairs_values=(1, 2, 4),
-        rates_gbps=(10, 50, 100), packet_sizes=(256, 1500),
-        measure_duration_s=10, settle_time_s=1))
-        for trx in trx_names]
-    model, _ = derive_power_model(suites)
-    return model
-
-
 @pytest.fixture(scope="module")
 def models():
-    return {
-        "8201-32FH": _lab_model(
-            "8201-32FH", ("QSFP-DD-400G-FR4", "QSFP-DD-400G-LR4",
-                          "QSFP-DD-400G-DAC", "QSFP28-100G-LR4"),
-            SEED + 10),
-        "NCS-55A1-24H": _lab_model(
-            "NCS-55A1-24H", ("QSFP28-100G-DAC", "QSFP28-100G-LR4",
-                             "QSFP28-100G-SR4"), SEED + 11),
-    }
+    return lab_models(SEED)
 
 
 def _build_sim(seed=SEED):
