@@ -276,3 +276,38 @@ class TestLadderScaling:
         assert xl_norm <= 2.0 * large_norm, (
             f"xl per-router step rate regressed: {xl_norm:.2f} ms/step/1k "
             f"routers vs large {large_norm:.2f} (allowance 2x)")
+
+
+class TestStepLoopOverhead:
+    """The step loop's own time must stay a small share of a run.
+
+    ``sim.steps`` self time is what no span inside it covers: the
+    loop's bookkeeping between kernels (gathering due events, writing
+    the grid and totals, the SNMP cadence).  The one-time columnar
+    build has its own ``sim.build`` span, so at the ``xl`` rung
+    (synth-1k, 600 steps, vector engine) the remainder read 3.5-4.2 %
+    of ``sim.run`` over ten runs on a 2-core host.  The bound is 6 %;
+    an unspanned per-router Python loop in the step, or the build
+    losing its span, lands well above it.
+    """
+
+    MAX_SHARE = 0.06
+
+    def test_loop_self_time_is_a_small_share_of_the_run(self):
+        from repro import bench
+        from repro.obs import tracing
+
+        case = bench.CASES["xl"]
+        sim = bench._build_simulation(case, seed=7)
+        tracer = tracing.Tracer(timeline=False)
+        with tracing.use_tracer(tracer):
+            sim.run(duration_s=case.n_steps * STEP_S, step_s=STEP_S,
+                    engine="vector")
+        kernels = tracer.profile_dict()["kernels"]
+        loop_s = kernels["sim.steps"]["self_s"]
+        run_s = kernels["sim.run"]["cum_s"]
+        print(f"\nsim.steps self {1e3 * loop_s:.1f} ms of sim.run "
+              f"{1e3 * run_s:.1f} ms ({100 * loop_s / run_s:.2f} %)")
+        assert loop_s <= self.MAX_SHARE * run_s, (
+            f"step loop overhead {100 * loop_s / run_s:.2f} % of sim.run "
+            f"(bound {100 * self.MAX_SHARE:.0f} %)")

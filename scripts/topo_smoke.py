@@ -9,11 +9,14 @@ Generates a seeded ~1k-router multi-tier fleet twice and checks the
 inventory JSON is byte-identical (the generator's determinism contract,
 docs/TOPOLOGY.md), then runs the same seeded simulation through both
 engines and compares digests: interface counters must hash identically
-(the engines advance them with bit-equal arithmetic) and the
-total-power traces must agree to 1e-9 relative.  Exit code 0 on
-success, 1 with a diagnosis on stderr otherwise.  Designed to finish
-well under a minute on a CI runner: the object engine dominates at
-~0.2 s/step for 50 steps.
+(the engines advance them with bit-equal arithmetic), so must every
+router's generator position and PSU sensor state (the vector engine
+draws each router's normals a block at a time and must leave each
+generator where the object engine's scalar draws do; 50 steps cross
+one block refill), and the total-power traces must agree to 1e-9
+relative.  Exit code 0 on success, 1 with a diagnosis on stderr
+otherwise.  Designed to finish well under a minute on a CI runner: the
+object engine dominates at ~0.2 s/step for 50 steps.
 """
 
 import argparse
@@ -58,6 +61,18 @@ def _counter_digest(network) -> str:
     return digest.hexdigest()
 
 
+def _generator_digest(network) -> str:
+    """SHA-256 over every router's generator state and PSU sensor
+    state (plateau and bias), in sorted host order."""
+    digest = hashlib.sha256()
+    for host in sorted(network.routers):
+        router = network.routers[host]
+        digest.update(f"{host}:{router.rng.bit_generator.state!r}"
+                      f":{router._pseudo_constant_basis!r}"
+                      f":{router._sensor_bias_w!r}\n".encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", default="synth-1k")
@@ -95,6 +110,14 @@ def main(argv=None) -> int:
               f"vs vector {digests['vector']}", file=sys.stderr)
         return 1
     print(f"counter digest match: {digests['vector'][:16]}…")
+
+    digests = {engine: _generator_digest(network)
+               for engine, network in networks.items()}
+    if digests["object"] != digests["vector"]:
+        print(f"FAIL: generator digests differ: object {digests['object']} "
+              f"vs vector {digests['vector']}", file=sys.stderr)
+        return 1
+    print(f"generator digest match: {digests['vector'][:16]}…")
 
     p_obj = results["object"].total_power.values
     p_vec = results["vector"].total_power.values

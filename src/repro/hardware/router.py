@@ -629,9 +629,11 @@ class VirtualRouter:
 
         Behaviour depends on the model's quirk (§6.2): faithful within
         noise, constant offset, pseudo-constant plateau, or ``None``.
-        Collectors that already computed this router's wall power (e.g.
-        the vectorized engine) can pass it as ``true_in`` to skip the
+        Collectors that already computed this router's wall power (the
+        object engine's SNMP poll) can pass it as ``true_in`` to skip the
         recomputation; the sensor-noise draws are identical either way.
+        The vectorized engine evaluates the same terms as columns
+        (``FleetState.psu_reported_power``).
         """
         quirk = self.spec.psu_quirk
         if quirk == PsuSensorQuirk.ABSENT or not self.powered:

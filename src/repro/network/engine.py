@@ -38,9 +38,15 @@ Contracts that keep the fast path exactly equivalent to the object path:
 * **Identical RNG streams.**  NumPy ``Generator`` array draws consume the
   underlying bit stream exactly like the equivalent sequence of scalar
   draws, so vectorised demand noise reproduces the object path's values
-  bit for bit.  Per-router draws (AR(1) ambient noise, PSU sensor noise)
-  come from per-router generators and are issued in the same per-router
-  order as the object path.
+  bit for bit.  Every draw a run makes from a router's own generator
+  (the AR(1) ambient noise, the PSU sensor noise) is a normal, and
+  ``normal(0.0, s)`` is ``0.0 + s * z`` for the next standard normal
+  ``z``; so the columns draw each router's standard normals a block at
+  a time (:data:`NORMAL_BLOCK`) and take them in the object path's
+  per-router order.  Wherever authority goes back to the objects --
+  before events fire, and at the end of the run -- each generator is
+  settled where the scalar calls would have left it
+  (:meth:`FleetState.flush_noise`).
 * **Identical arithmetic where it matters.**  Elementwise array formulas
   mirror the scalar expressions' association order, counter accumulation
   replicates ``int(prev + inc)`` truncation via ``np.floor``, and the
@@ -58,6 +64,7 @@ counter should use ``engine="object"``.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
@@ -68,8 +75,8 @@ from repro import units
 from repro.activity import carrying_traffic_mask
 from repro.hardware.catalog import PsuConfig
 from repro.hardware.psu import QuadraticLossCurve, ScaledLossCurve, SharingPolicy
-from repro.hardware.router import (OfferedTraffic, Port, VirtualRouter,
-                                   inversion_grid)
+from repro.hardware.router import (OfferedTraffic, Port, PsuSensorQuirk,
+                                   VirtualRouter, inversion_grid)
 from repro.obs import metrics, tracing
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -80,6 +87,17 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: Noise correlation time of the routers' AR(1) ambient noise (matches
 #: :meth:`VirtualRouter.advance`).
 _NOISE_TAU_S = 600.0
+
+#: Standard normals drawn from one router's generator at a time: 256
+#: bytes per router of buffer, and one generator call per router every
+#: ``NORMAL_BLOCK`` draws.
+NORMAL_BLOCK = 32
+
+#: ``sensor_kind`` codes of the PSU sensor quirks (§6.2); ABSENT is 0.
+_ACCURATE, _OFFSET, _PLATEAU = 1, 2, 3
+_QUIRK_CODE = {PsuSensorQuirk.ABSENT: 0, PsuSensorQuirk.ACCURATE: _ACCURATE,
+               PsuSensorQuirk.OFFSET: _OFFSET,
+               PsuSensorQuirk.PSEUDO_CONSTANT: _PLATEAU}
 
 M_REFRESH = metrics.counter(
     "netpower_sim_engine_refresh_total",
@@ -159,6 +177,12 @@ class FleetState:
       :meth:`refresh` whenever an event may have mutated topology or
       config -- the fleet-level analogue of the router ``_mark_dirty``
       hooks.
+
+    The noise and sensor kernels draw each router's standard normals a
+    block at a time, so they require that each router owns its
+    generator (every fleet builder gives each router its own
+    ``default_rng``); two routers sharing one would see their draws
+    interleaved differently from the object path.
     """
 
     def __init__(self, network, traffic, new_external_link_ids=frozenset(),
@@ -190,6 +214,14 @@ class FleetState:
         self.powered = np.zeros(self.n_routers, dtype=bool)
         self.base_fixed = np.zeros(self.n_routers)
         self.noise_std = np.zeros(self.n_routers)
+        # PSU sensor model (VirtualRouter.psu_reported_power_w): the quirk
+        # code, its constants, the per-boot bias and the pseudo-constant
+        # plateau (NaN for none yet), which a poll moves.
+        self.sensor_kind = np.zeros(self.n_routers, dtype=np.int8)
+        self.report_offset_w = np.zeros(self.n_routers)
+        self.report_quantum_w = np.ones(self.n_routers)
+        self.sensor_bias_w = np.zeros(self.n_routers)
+        self.sensor_basis_w = np.full(self.n_routers, np.nan)
         self.static_sum = np.zeros(self.n_routers)
         # Attribution split of the per-port static power (the three
         # catalog terms of static_w) plus the sleep counterfactual, and
@@ -210,6 +242,14 @@ class FleetState:
         self.packet_bytes = np.array(
             [p.traffic.packet_bytes for p in self.ports])
         self.noise = np.array([r._noise_state for r in self.routers])
+        # Each router's standard normals, drawn NORMAL_BLOCK at a time
+        # (see _take_normals): the block, how many of it were taken,
+        # and the generator state the block was drawn from (None once
+        # the generator is settled).  The block is allocated on the
+        # first draw; a FleetState that never steps never draws.
+        self._normals: Optional[np.ndarray] = None
+        self._normals_taken = np.full(self.n_routers, NORMAL_BLOCK)
+        self._normals_from: List[Optional[dict]] = [None] * self.n_routers
         # Between configuration boundaries the per-step kernels work on
         # compact copies of the active ports' dynamic state (see
         # _refresh_active_cache); these flags track whether those copies
@@ -303,14 +343,54 @@ class FleetState:
                 packet_bytes=float(self.packet_bytes[f]))
 
     def flush_noise(self, hostnames: Optional[Sequence[str]] = None) -> None:
-        """Write the AR(1) noise states back into the routers."""
+        """Hand the routers' noise and sensor state back to the objects.
+
+        Writes the AR(1) noise states and the pseudo-constant plateaus
+        (a poll can move one) into the routers, and settles each
+        router's generator where the object path's scalar draws would
+        have left it (see :meth:`_take_normals`), so an event or a
+        post-run export draws from the same point either way.
+        """
         if hostnames is None:
-            for i, router in enumerate(self.routers):
-                router._noise_state = float(self.noise[i])
-            return
-        for host in hostnames:
-            i = self.router_index[host]
-            self.routers[i]._noise_state = float(self.noise[i])
+            rows: Sequence[int] = range(self.n_routers)
+        else:
+            rows = [self.router_index[host] for host in hostnames]
+        for i in rows:
+            router = self.routers[i]
+            router._noise_state = float(self.noise[i])
+            basis = float(self.sensor_basis_w[i])
+            router._pseudo_constant_basis = (
+                None if math.isnan(basis) else basis)
+            state = self._normals_from[i]
+            if state is not None:
+                rng = router.rng
+                rng.bit_generator.state = state
+                rng.standard_normal(int(self._normals_taken[i]))
+                self._normals_from[i] = None
+                self._normals_taken[i] = NORMAL_BLOCK
+
+    def _take_normals(self, rows: np.ndarray) -> np.ndarray:
+        """The next standard normal of each listed router's generator.
+
+        ``rows`` are distinct router indices.  ``standard_normal(k)``
+        returns the same ``k`` values as ``k`` scalar draws and leaves
+        the generator at the same point, so a router whose block is used
+        up draws the next ``NORMAL_BLOCK`` in one call, after saving the
+        generator state the block starts from; :meth:`flush_noise`
+        restores that state and redraws the count taken.
+        """
+        if self._normals is None:
+            self._normals = np.empty((self.n_routers, NORMAL_BLOCK))
+        taken = self._normals_taken[rows]
+        spent = taken == NORMAL_BLOCK
+        if spent.any():
+            for i in rows[spent].tolist():
+                rng = self.routers[i].rng
+                self._normals_from[i] = rng.bit_generator.state
+                rng.standard_normal(out=self._normals[i])
+            taken[spent] = 0
+        self._normals_taken[rows] = taken + 1
+        return self._normals[rows, taken]
 
     def flush_all(self) -> None:
         """Full write-back: counters, traffic, and noise."""
@@ -469,20 +549,37 @@ class FleetState:
         of ``VirtualRouter.wall_referred_power_w``.
         """
         router = self.routers[i]
+        spec = router.spec
         self.powered[i] = router.powered
-        self.base_fixed[i] = ((router.spec.p_base_w + router.fan_bump_w)
+        self.base_fixed[i] = ((spec.p_base_w + router.fan_bump_w)
                               + router.thermal_power_w())
         self.noise_std[i] = router.noise_std_w
+        self.sensor_kind[i] = _QUIRK_CODE[spec.psu_quirk]
+        self.report_offset_w[i] = spec.psu_report_offset_w
+        self.report_quantum_w[i] = spec.psu_report_quantum_w or 1.0
+        self.sensor_bias_w[i] = router._sensor_bias_w
+        basis = router._pseudo_constant_basis
+        self.sensor_basis_w[i] = np.nan if basis is None else basis
+
+    def _refresh_draw_rows(self) -> None:
+        """Routers that draw from their generator in a step, by kernel.
+
+        The object path draws AR(1) noise for powered routers with
+        ``noise_std_w > 0``, and sensor noise for powered routers whose
+        sensor reports at all; every other router is skipped.
+        """
+        powered = self.powered
+        kind = self.sensor_kind
+        self._noise_rows = np.nonzero(powered & (self.noise_std > 0.0))[0]
+        self._accurate_rows = np.nonzero(powered & (kind == _ACCURATE))[0]
+        self._offset_rows = np.nonzero(powered & (kind == _OFFSET))[0]
+        self._plateau_rows = np.nonzero(powered & (kind == _PLATEAU))[0]
 
     def _refresh_routers(self) -> None:
         for i in range(self.n_routers):
             self._patch_router_scalars(i)
         np.take(self.powered, self.port_router, out=self.port_powered)
-        # Routers with ambient noise enabled: the only ones whose private
-        # RNG is drawn per step, so advance_noise skips the rest (the
-        # object path's noise_std_w > 0 guard skips the same draws).
-        self._noise_idx = [i for i in range(self.n_routers)
-                           if self.noise_std[i] > 0.0]
+        self._refresh_draw_rows()
         # Wall->DC inversion: the routers' shared grid of their PSU
         # configuration, one group of routers per grid, so the batched
         # inversion works group by group instead of on a dense
@@ -713,6 +810,7 @@ class FleetState:
             self._patch_router_scalars(i)
             self.port_powered[start:stop] = self.powered[i]
             self._patch_psu_rows(i)
+        self._refresh_draw_rows()
         self._refresh_active_cache()
 
     def _patch_psu_rows(self, i: int) -> None:
@@ -841,19 +939,52 @@ class FleetState:
         self._step_cache = (rx_tx, rx_pps, tx_pps)
 
     def advance_noise(self, rho: float, innovation_std: np.ndarray) -> None:
-        """One AR(1) noise update per powered router (same draws as
-        ``VirtualRouter.advance``; one scalar draw per router keeps each
-        router's private RNG stream identical to the object path).  Only
-        routers with noise enabled are visited -- the object path's
-        ``noise_std_w > 0`` guard skips exactly the same draws."""
-        noise = self.noise
-        routers = self.routers
-        for i in self._noise_idx:
-            router = routers[i]
-            if router.powered:
-                noise[i] = (rho * noise[i]
-                            + float(router.rng.normal(
-                                0.0, innovation_std[i])))
+        """One AR(1) noise update per powered router with noise enabled.
+
+        ``VirtualRouter.advance`` term for term: ``rho * noise +
+        normal(0.0, std)``, with the normal as ``0.0 + std * z`` over
+        each router's next standard normal (:meth:`_take_normals`).
+        """
+        rows = self._noise_rows
+        if len(rows):
+            z = self._take_normals(rows)
+            self.noise[rows] = (rho * self.noise[rows]
+                                + (0.0 + innovation_std[rows] * z))
+
+    def psu_reported_power(self, wall: np.ndarray) -> np.ndarray:
+        """Every router's PSU-reported input power for one SNMP poll.
+
+        ``VirtualRouter.psu_reported_power_w(true_in=wall[i])`` term for
+        term, as column expressions over the routers of each §6.2 quirk,
+        with each ``normal(0.0, s)`` as ``0.0 + s * z`` over the router's
+        next standard normal.  The pseudo-constant plateau re-bases when
+        there is none yet or the true value has left it by more than 1.5
+        quanta; ``np.round`` rounds half to even, like ``round``.  A
+        router that is unpowered or has no power sensor reports NaN and
+        draws nothing.
+        """
+        reported = np.full(self.n_routers, np.nan)
+        rows = self._accurate_rows
+        if len(rows):
+            reported[rows] = wall[rows] * (
+                1.0 + (0.0 + 0.005 * self._take_normals(rows)))
+        rows = self._offset_rows
+        if len(rows):
+            reported[rows] = ((wall[rows] + self.report_offset_w[rows])
+                              + (0.0 + 0.3 * self._take_normals(rows)))
+        rows = self._plateau_rows
+        if len(rows):
+            true_in = wall[rows]
+            quantum = self.report_quantum_w[rows]
+            basis = self.sensor_basis_w[rows]
+            redo = np.isnan(basis) | (np.abs(true_in - basis)
+                                      > 1.5 * quantum)
+            basis = np.where(redo, np.round(true_in / quantum) * quantum,
+                             basis)
+            self.sensor_basis_w[rows] = basis
+            reported[rows] = ((basis + self.sensor_bias_w[rows])
+                              + (0.0 + 0.05 * self._take_normals(rows)))
+        return reported
 
     def wall_power(self,
                    components: Optional[np.ndarray] = None) -> np.ndarray:

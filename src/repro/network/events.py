@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Optional
 
 from repro.network.topology import ISPNetwork, Link, LinkEnd, LinkKind
-from repro.hardware.router import ExternalPeerPort, connect, disconnect
+from repro.hardware.router import ExternalPeerPort, Port, connect, disconnect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.network.simulation import NetworkSimulation
@@ -25,24 +25,21 @@ def _port_link_hosts(network: ISPNetwork, hostname: str,
                      port_index: int) -> Optional[FrozenSet[str]]:
     """Routers whose link state one port's configuration can touch.
 
-    The port's own router plus the internal-link peers wired to that
-    port: flipping one end's admin state (or pulling its module) changes
-    ``link_up`` on *both* ends, so both routers' columnar state goes
-    stale.  Returns ``None`` for unknown hostnames so the caller falls
-    back to the full-rebuild path (which reproduces the object path's
-    error on apply).
+    The port's own router plus the router at the far end of its cable:
+    flipping one end's admin state (or pulling its module) changes
+    ``Port.link_up`` on *both* ends, and ``link_up`` is the only way
+    another router's columns see this port.  Returns ``None`` for an
+    unknown hostname or port so the caller falls back to the
+    full-rebuild path (which reproduces the object path's error on
+    apply).
     """
-    if hostname not in network.routers:
+    router = network.routers.get(hostname)
+    if router is None or not 0 <= port_index < len(router.ports):
         return None
-    hosts = {hostname}
-    for link in network.links:
-        if not link.is_internal:
-            continue
-        if link.a.hostname == hostname and link.a.port_index == port_index:
-            hosts.add(link.b.hostname)
-        elif link.b.hostname == hostname and link.b.port_index == port_index:
-            hosts.add(link.a.hostname)
-    return frozenset(hosts)
+    peer = router.ports[port_index].peer
+    if isinstance(peer, Port):
+        return frozenset((hostname, peer.router.hostname))
+    return frozenset((hostname,))
 
 
 def _single_host(simulation: "NetworkSimulation",
@@ -95,7 +92,7 @@ class UnplugModule(FleetEvent):
 
     def dirty_hosts(self, simulation: "NetworkSimulation",
                     ) -> Optional[FrozenSet[str]]:
-        """This router plus any internal-link peer of the port."""
+        """This router plus the router at the far end of the port's cable."""
         return _port_link_hosts(simulation.network, self.hostname,
                                 self.port_index)
 
@@ -152,7 +149,7 @@ class SetAdminState(FleetEvent):
 
     def dirty_hosts(self, simulation: "NetworkSimulation",
                     ) -> Optional[FrozenSet[str]]:
-        """This router plus any internal-link peer of the port."""
+        """This router plus the router at the far end of the port's cable."""
         return _port_link_hosts(simulation.network, self.hostname,
                                 self.port_index)
 

@@ -322,7 +322,8 @@ class NetworkSimulation:
             with tracing.span("sim.steps", sim_clock=lambda: self.clock_s):
                 kernels: Union[VectorizedEngine, _ObjectKernels]
                 if engine == "vector":
-                    kernels = VectorizedEngine(self, step_s)
+                    with tracing.span("sim.build"):
+                        kernels = VectorizedEngine(self, step_s)
                     self.last_vector_engine = kernels
                 else:
                     kernels = _ObjectKernels(self)

@@ -215,8 +215,9 @@ class FleetService:
         hosts = sorted({port.router.hostname for port, _up in toggles})
         host_rows = [state.router_index[h] for h in hosts]
         # Flipping one end's admin state changes link_up on *both*
-        # ends (mirrors events._port_link_hosts), so the patch set
-        # must include internal-link peers or their columns go stale.
+        # ends of the cable (as events._port_link_hosts declares for
+        # SetAdminState), so the patch set must include the cable
+        # peers or their columns go stale.
         patch_hosts = set(hosts)
         # An external port's peer is another network's port, which has
         # no router to patch.

@@ -10,14 +10,14 @@ only contain ``P_in``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.hardware.psu import PsuSensorReading
-from repro.hardware.router import Counters, PsuSensorQuirk, VirtualRouter
+from repro.hardware.router import Counters, VirtualRouter
 from repro.obs import tracing
 from repro.telemetry.traces import CounterSeries, InterfaceTrace, TimeSeries
 
@@ -84,8 +84,8 @@ class SnmpAgent:
         """PSU-reported total input power, or None if unsupported.
 
         ``true_in`` optionally supplies the router's already-computed wall
-        power so the sensor model does not recompute it (used by the
-        vectorized engine, whose columnar state holds the fresh value).
+        power so the sensor model does not recompute it (the object
+        engine's poll passes the step's wall power).
         """
         return self.router.psu_reported_power_w(true_in=true_in)
 
@@ -176,15 +176,16 @@ class SnmpCollector:
                 raise ValueError(
                     f"detailed hosts not in the fleet: {sorted(unknown)}")
         self._timestamps: List[float] = []
-        self._power: Dict[str, List[float]] = {h: [] for h in self.agents}
+        # One row per poll: every agent's reported power, in agent order
+        # (NaN where a router reports none).
+        self._column = {h: k for k, h in enumerate(self.agents)}
+        self._power_rows: List[np.ndarray] = []
         # host -> iface -> (ts, rx_oct, tx_oct, rx_pkt, tx_pkt) lists
         self._counters: Dict[str, Dict[str, List[List]]] = {
-            h: {} for h in self.detailed_hosts}
-        # Per-fleet-order poll rows for record_vector(), built lazily on
-        # the first columnar poll (see _vector_rows_for).
-        self._vector_key: Optional[Tuple[str, ...]] = None
-        self._vector_rows: List[Tuple[List[float], Optional[VirtualRouter],
-                                      bool]] = []
+            h: {} for h in self.agents if h in self.detailed_hosts}
+        # The hostname sequence record_vector() last checked against the
+        # agent order.
+        self._vector_hosts: Optional[Sequence[str]] = None
 
     def record(self, timestamp_s: float,
                true_power_by_host: Optional[Dict[str, float]] = None) -> None:
@@ -196,12 +197,13 @@ class SnmpCollector:
         """
         with tracing.span("kernel.snmp_poll"):
             self._timestamps.append(timestamp_s)
-            for hostname, agent in self.agents.items():
+            row = np.empty(len(self.agents))
+            self._power_rows.append(row)
+            for k, (hostname, agent) in enumerate(self.agents.items()):
                 true_in = (None if true_power_by_host is None
                            else true_power_by_host.get(hostname))
                 power = agent.poll_power(true_in=true_in)
-                self._power[hostname].append(
-                    power if power is not None else np.nan)
+                row[k] = power if power is not None else np.nan
                 if hostname not in self.detailed_hosts:
                     continue
                 store = self._counters[hostname]
@@ -218,63 +220,36 @@ class SnmpCollector:
                     slot[3].append(counters.rx_packets)
                     slot[4].append(counters.tx_packets)
 
-    def _vector_rows_for(self, hostnames: Sequence[str],
-                         ) -> List[Tuple[str, List[float],
-                                         Optional[VirtualRouter], bool]]:
-        """Poll rows aligned with the engine's fleet order.
-
-        One ``(hostname, power samples, router, detailed)`` row per
-        hostname; the router slot is ``None`` for platforms whose PSU
-        sensor is absent (§6.2) -- those rows always record NaN without
-        touching the router object, mirroring the early-None in
-        :meth:`VirtualRouter.psu_reported_power_w`.
-        """
-        key = tuple(hostnames)
-        if self._vector_key != key:
-            rows: List[Tuple[str, List[float],
-                             Optional[VirtualRouter], bool]] = []
-            for hostname in key:
-                router = self.agents[hostname].router
-                absent = router.spec.psu_quirk == PsuSensorQuirk.ABSENT
-                rows.append((hostname, self._power[hostname],
-                             None if absent else router,
-                             hostname in self.detailed_hosts))
-            self._vector_key = key
-            self._vector_rows = rows
-        return self._vector_rows
-
     def record_vector(self, timestamp_s: float, hostnames: Sequence[str],
                       true_power_w: np.ndarray,
                       state: "FleetState") -> None:
-        """Columnar-engine poll: byte-identical records, no object detour.
+        """Columnar-engine poll: the records of :meth:`record`, as columns.
 
         The vectorized engine hands its per-router wall-power column and
-        its :class:`~repro.network.engine.FleetState` straight in, so a
-        poll skips the fleet-wide ``dict(zip(...))`` power map, the
-        object-counter write-back for detailed hosts, and the per-poll
-        interface-dict rebuild that :meth:`record` pays; detailed-host
-        counters are read directly off the columnar arrays
-        (:meth:`~repro.network.engine.FleetState.counters_view`).
-        Sensor-noise draws still come one router at a time from each
-        router's private generator -- the streams are per-router, so the
-        recorded values match :meth:`record` bit for bit.  ``hostnames``
-        must be the fleet order the power column is indexed by.
+        its :class:`~repro.network.engine.FleetState` straight in.  The
+        poll's power row is
+        :meth:`~repro.network.engine.FleetState.psu_reported_power`: the
+        §6.2 sensor model as column expressions over each router's own
+        noise stream, bit for bit the values :meth:`record` draws router
+        by router.  Detailed-host counters are read directly off the
+        columnar arrays
+        (:meth:`~repro.network.engine.FleetState.counters_view`), with no
+        object write-back.  ``hostnames`` is the fleet order the power
+        column and ``state`` are indexed by, and must be this
+        collector's agent order.
         """
         with tracing.span("kernel.snmp_poll"):
+            if hostnames is not self._vector_hosts:
+                if list(hostnames) != list(self.agents):
+                    raise ValueError(
+                        "record_vector() needs the hostnames in the "
+                        "collector's agent order")
+                self._vector_hosts = hostnames
             self._timestamps.append(timestamp_s)
-            wall = true_power_w.tolist()
-            for (hostname, samples, router, detailed), true_in in zip(
-                    self._vector_rows_for(hostnames), wall):
-                if router is None or not router.powered:
-                    samples.append(np.nan)
-                else:
-                    power = router.psu_reported_power_w(true_in=true_in)
-                    samples.append(power if power is not None else np.nan)
-                if not detailed:
-                    continue
+            self._power_rows.append(state.psu_reported_power(true_power_w))
+            for hostname, store in self._counters.items():
                 rx_oct, tx_oct, rx_pkt, tx_pkt = state.counters_view(
                     hostname)
-                store = self._counters[hostname]
                 ports = self.agents[hostname].router.ports
                 for k, port in enumerate(ports):
                     if not port.plugged:
@@ -299,13 +274,13 @@ class SnmpCollector:
         None if the router has never been polled or its platform does not
         report a power value (the NaN case, §6.2).
         """
-        samples = self._power.get(hostname)
-        if not samples:
+        column = self._column.get(hostname)
+        if column is None or not self._power_rows:
             return None
-        value = samples[-1]
-        if value is None or np.isnan(value):
+        value = float(self._power_rows[-1][column])
+        if math.isnan(value):
             return None
-        return float(value)
+        return value
 
     def counters_tail(self, hostname: str, n: int = 2,
                       ) -> Dict[str, List[List]]:
@@ -324,9 +299,11 @@ class SnmpCollector:
     def finalize(self) -> Dict[str, RouterTrace]:
         """Build immutable traces from everything recorded so far."""
         ts = np.array(self._timestamps, dtype=float)
+        # One contiguous row per host: its column of the poll rows.
+        power = (np.stack(self._power_rows, axis=1) if self._power_rows
+                 else np.empty((len(self.agents), 0)))
         traces: Dict[str, RouterTrace] = {}
-        for hostname, agent in self.agents.items():
-            power = TimeSeries(ts, np.array(self._power[hostname]))
+        for k, (hostname, agent) in enumerate(self.agents.items()):
             interfaces: Dict[str, InterfaceTrace] = {}
             for iface_name, slot in self._counters.get(hostname, {}).items():
                 iface_ts = np.array(slot[0], dtype=float)
@@ -340,7 +317,7 @@ class SnmpCollector:
             traces[hostname] = RouterTrace(
                 hostname=hostname,
                 router_model=agent.router.model_name,
-                power=power,
+                power=TimeSeries(ts, power[k]),
                 interfaces=interfaces,
                 inventory=agent.router.inventory(),
             )

@@ -106,8 +106,14 @@ def _assert_results_match(net1, r1, net2, r2):
     for e1, e2 in zip(r1.sensor_exports, r2.sensor_exports):
         np.testing.assert_allclose([e1.input_w, e1.output_w],
                                    [e2.input_w, e2.output_w], rtol=1e-9)
-    # The engines must leave the object world in the same state too.
+    # The engines must leave the object world in the same state too,
+    # each router's generator included.
     for host in net1.routers:
+        a, b = net1.routers[host], net2.routers[host]
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state, host
+        assert a._pseudo_constant_basis == b._pseudo_constant_basis, host
+        assert a._sensor_bias_w == b._sensor_bias_w, host
+        assert a._noise_state == b._noise_state, host
         c1 = net1.routers[host].interface_counters()
         c2 = net2.routers[host].interface_counters()
         assert set(c1) == set(c2)

@@ -8,7 +8,10 @@ run length and a mix of every ``FleetEvent`` type, with event times at
 0, tied, and past the end of the run.  Each schedule runs on the object
 engine, the vector engine and the vector engine with
 ``INCREMENTAL_REFRESH`` off, and the cadence the loop owns must come
-out the same on all three.
+out the same on all three, as must each router's generator position
+and noise and sensor state after the run (the vector engine draws the
+routers' normals a block at a time and must settle each generator
+where the object engine's scalar draws leave it).
 """
 
 from __future__ import annotations
@@ -41,9 +44,12 @@ from repro.network import (
 )
 from repro.network import engine as engine_mod
 
+#: One ``N540X-8Z16G-SYS-A`` gives the fleet a router with no PSU power
+#: sensor (§6.2).
 CONFIG = FleetConfig(
     model_counts=(("8201-32FH", 2), ("NCS-55A1-24H", 2),
-                  ("ASR-920-24SZ-M", 4), ("N540-24Z8Q2C-M", 2)),
+                  ("ASR-920-24SZ-M", 4), ("N540-24Z8Q2C-M", 2),
+                  ("N540X-8Z16G-SYS-A", 1)),
     n_regional_pops=2, core_core_links=1)
 SEED = 3
 KINDS = ("admin", "unplug", "external", "os", "cycle", "decommission",
@@ -145,7 +151,7 @@ def _run(case, engine: str, incremental: bool = True):
     saved = engine_mod.INCREMENTAL_REFRESH
     engine_mod.INCREMENTAL_REFRESH = incremental
     try:
-        _, sim = _build()
+        network, sim = _build()
         recorder = sim.add_observer(_Recorder()) if case["observe"] else None
         result = sim.run(duration_s=case["n_steps"] * case["step_s"],
                          step_s=case["step_s"], events=list(case["events"]),
@@ -153,7 +159,7 @@ def _run(case, engine: str, incremental: bool = True):
                          attribution=case["ledger"])
     finally:
         engine_mod.INCREMENTAL_REFRESH = saved
-    return result, recorder
+    return network, result, recorder
 
 
 def _snmp_timestamps(result):
@@ -161,19 +167,41 @@ def _snmp_timestamps(result):
             for host, trace in result.snmp.items()}
 
 
+def _router_state(network):
+    """Each router's generator position and sensor and noise state."""
+    return {host: (router.rng.bit_generator.state,
+                   router._pseudo_constant_basis, router._sensor_bias_w,
+                   router._noise_state)
+            for host, router in network.routers.items()}
+
+
 class TestGeneratedSchedules:
     @settings(max_examples=20, deadline=None)
     @given(case=schedules())
     def test_both_engines_step_the_same_cadence(self, case):
-        r_obj, rec_obj = _run(case, "object")
-        r_vec, rec_vec = _run(case, "vector")
-        r_full, rec_full = _run(case, "vector", incremental=False)
+        n_obj, r_obj, rec_obj = _run(case, "object")
+        n_vec, r_vec, rec_vec = _run(case, "vector")
+        n_full, r_full, rec_full = _run(case, "vector", incremental=False)
 
         np.testing.assert_array_equal(r_obj.total_power.timestamps,
                                       r_vec.total_power.timestamps)
         assert _snmp_timestamps(r_obj) == _snmp_timestamps(r_vec)
         np.testing.assert_allclose(r_obj.total_power.values,
                                    r_vec.total_power.values, rtol=1e-9)
+        assert _router_state(n_obj) == _router_state(n_vec)
+        assert _router_state(n_vec) == _router_state(n_full)
+        for host, trace in r_obj.snmp.items():
+            p_obj, p_vec = trace.power.values, r_vec.snmp[host].power.values
+            nan = np.isnan(p_obj)
+            np.testing.assert_array_equal(nan, np.isnan(p_vec),
+                                          err_msg=host)
+            np.testing.assert_allclose(p_obj[~nan], p_vec[~nan], rtol=1e-9,
+                                       err_msg=host)
+        assert len(r_obj.sensor_exports) == len(r_vec.sensor_exports)
+        for e_obj, e_vec in zip(r_obj.sensor_exports, r_vec.sensor_exports):
+            np.testing.assert_allclose([e_obj.input_w, e_obj.output_w],
+                                       [e_vec.input_w, e_vec.output_w],
+                                       rtol=1e-9)
         if case["observe"]:
             assert rec_obj.steps == rec_vec.steps
             assert len(rec_obj.steps) == case["n_steps"]
