@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
+from repro.ioutil import atomic_write_text
 from repro.network import (
     FleetConfig,
     FleetTrafficModel,
@@ -585,7 +586,7 @@ def run_benchmarks(case_names: Sequence[str], seed: int,
                         key=lambda c: (order.get(c["name"], len(order)),
                                        c["name"])),
     }
-    output.write_text(json.dumps(report, indent=2) + "\n")
+    atomic_write_text(output, json.dumps(report, indent=2) + "\n")
     if history is not None:
         append_history(history, report)
         print(f"trajectory appended to {history}", file=stream)

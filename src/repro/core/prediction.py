@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import units
-from repro.activity import ACTIVE_PPS_THRESHOLD, prediction_active
+from repro.activity import prediction_active
 from repro.core.model import InterfaceClassKey, PowerModel
 from repro.hardware.transceiver import TRANSCEIVER_CATALOG
 
@@ -113,7 +113,6 @@ class DeployedInterface:
 def predict_trace(model: PowerModel,
                   interfaces: Sequence[DeployedInterface],
                   assume_unplugged_when_idle: bool = True,
-                  active_pps_threshold: float = ACTIVE_PPS_THRESHOLD,
                   n_samples: Optional[int] = None) -> np.ndarray:
     """Predicted power time series for one deployed router.
 
@@ -127,9 +126,6 @@ def predict_trace(model: PowerModel,
         The paper's §6.2 behaviour: an interface with no traffic is
         treated as absent (its module assumed unplugged).  When ``False``,
         idle inventory-listed modules still contribute ``P_trx,in``.
-    active_pps_threshold:
-        Packet rate at or below which an interface counts as idle
-        (:func:`repro.activity.prediction_active`).
     n_samples:
         Length of the time grid.  Required when ``interfaces`` is
         empty -- a router with no inventory still draws ``P_base``, so
@@ -174,7 +170,7 @@ def predict_trace(model: PowerModel,
         iface_model = model.interface_model(key)
         bps = np.stack([m.physical_bit_rate() for m in members])
         pps = np.stack([m.packet_rate() for m in members])
-        active = prediction_active(pps, active_pps_threshold)
+        active = prediction_active(pps)
 
         active_power = (
             iface_model.p_trx_in_w.value + iface_model.p_port_w.value

@@ -32,7 +32,8 @@ Contracts that keep the fast path exactly equivalent to the object path:
   incremental treatment: only those routers' columns are flushed,
   re-snapshot, and patched in place -- O(router), not O(fleet) -- while
   events that reshape the link list still force a full rebuild.  Both
-  paths produce bit-identical columns.  At the end of a run all
+  paths write the columns with one row writer, so they produce
+  bit-identical columns.  At the end of a run all
   counters, offered traffic, and noise states are written back, so
   post-run object inspection is indistinguishable from a scalar run.
 * **Identical RNG streams.**  NumPy ``Generator`` array draws consume the
@@ -74,7 +75,8 @@ import numpy as np
 from repro import units
 from repro.activity import carrying_traffic_mask
 from repro.hardware.catalog import PsuConfig
-from repro.hardware.psu import QuadraticLossCurve, ScaledLossCurve, SharingPolicy
+from repro.hardware.psu import (PSUGroup, PSUInstance, QuadraticLossCurve,
+                                ScaledLossCurve, SharingPolicy)
 from repro.hardware.router import (OfferedTraffic, Port, PsuSensorQuirk,
                                    VirtualRouter, inversion_grid)
 from repro.obs import metrics, tracing
@@ -144,6 +146,14 @@ def _collapse_curve(curve) -> Optional[Tuple[Tuple[float, ...],
     return None
 
 
+def _drawing_psus(group: PSUGroup) -> Sequence[PSUInstance]:
+    """The supplies of a group that get a coefficient row: every one,
+    except a SINGLE group's spares, which draw nothing."""
+    if group.policy == SharingPolicy.SINGLE:
+        return group.instances[:1]
+    return group.instances
+
+
 def supports_vectorized(network: "ISPNetwork") -> bool:
     """Whether every router in the fleet is expressible in columnar form.
 
@@ -173,10 +183,12 @@ class FleetState:
       objects via :meth:`flush_counters` / :meth:`flush_traffic` /
       :meth:`flush_noise`.  It survives :meth:`refresh`.
     * **Configuration** (static power, link-up masks, PSU coefficients,
-      link wiring) is derived from the objects and rebuilt wholesale by
-      :meth:`refresh` whenever an event may have mutated topology or
-      config -- the fleet-level analogue of the router ``_mark_dirty``
-      hooks.
+      link wiring) is derived from the objects -- the fleet-level
+      analogue of the router ``_mark_dirty`` hooks.  One writer,
+      :meth:`_write_rows`, fills the port, router and PSU columns of a
+      set of routers: :meth:`refresh` runs it on every router over a
+      fresh layout, :meth:`patch_routers` on the routers an event
+      dirtied.
 
     The noise and sensor kernels draw each router's standard normals a
     block at a time, so they require that each router owns its
@@ -202,7 +214,7 @@ class FleetState:
         self.port_router = np.repeat(np.arange(self.n_routers), counts)
 
         # Configuration columns, allocated once and refilled in place by
-        # refresh()/patch_routers() -- no per-refresh reallocation.
+        # _write_rows (the PSU columns are laid out by refresh).
         self.static_w = np.zeros(self.n_ports)
         self.link_up = np.zeros(self.n_ports, dtype=bool)
         self.p_offset_w = np.zeros(self.n_ports)
@@ -242,6 +254,10 @@ class FleetState:
         self.packet_bytes = np.array(
             [p.traffic.packet_bytes for p in self.ports])
         self.noise = np.array([r._noise_state for r in self.routers])
+        self.c_rx_oct = np.zeros(self.n_ports)
+        self.c_tx_oct = np.zeros(self.n_ports)
+        self.c_rx_pkt = np.zeros(self.n_ports)
+        self.c_tx_pkt = np.zeros(self.n_ports)
         # Each router's standard normals, drawn NORMAL_BLOCK at a time
         # (see _take_normals): the block, how many of it were taken,
         # and the generator state the block was drawn from (None once
@@ -272,24 +288,12 @@ class FleetState:
         untouched routers already hold the objects' exact values.
         """
         self._spill_counters()
-        if hostnames is None:
-            self.c_rx_oct = np.array(
-                [float(p.counters.rx_octets) for p in self.ports])
-            self.c_tx_oct = np.array(
-                [float(p.counters.tx_octets) for p in self.ports])
-            self.c_rx_pkt = np.array(
-                [float(p.counters.rx_packets) for p in self.ports])
-            self.c_tx_pkt = np.array(
-                [float(p.counters.tx_packets) for p in self.ports])
-            return
-        for host in hostnames:
-            r = self.router_index[host]
-            for f in range(self._router_start[r], self._router_stop[r]):
-                counters = self.ports[f].counters
-                self.c_rx_oct[f] = float(counters.rx_octets)
-                self.c_tx_oct[f] = float(counters.tx_octets)
-                self.c_rx_pkt[f] = float(counters.rx_packets)
-                self.c_tx_pkt[f] = float(counters.tx_packets)
+        ports, _ = self._ports_of(self._rows_of(hostnames))
+        counters = [self.ports[f].counters for f in ports.tolist()]
+        self.c_rx_oct[ports] = [float(c.rx_octets) for c in counters]
+        self.c_tx_oct[ports] = [float(c.tx_octets) for c in counters]
+        self.c_rx_pkt[ports] = [float(c.rx_packets) for c in counters]
+        self.c_tx_pkt[ports] = [float(c.tx_packets) for c in counters]
 
     def flush_counters(self, hostnames: Optional[Sequence[str]] = None) -> None:
         """Write counter columns back into the Port objects.
@@ -304,11 +308,7 @@ class FleetState:
         if hostnames is None:
             indices = self._active_ports.tolist()
         else:
-            indices = []
-            for host in hostnames:
-                r = self.router_index[host]
-                indices.extend(range(self._router_start[r],
-                                     self._router_stop[r]))
+            indices = self._ports_of(self._rows_of(hostnames))[0].tolist()
         for f in indices:
             counters = self.ports[f].counters
             counters.rx_octets = int(self.c_rx_oct[f])
@@ -351,11 +351,7 @@ class FleetState:
         have left it (see :meth:`_take_normals`), so an event or a
         post-run export draws from the same point either way.
         """
-        if hostnames is None:
-            rows: Sequence[int] = range(self.n_routers)
-        else:
-            rows = [self.router_index[host] for host in hostnames]
-        for i in rows:
+        for i in self._rows_of(hostnames).tolist():
             router = self.routers[i]
             router._noise_state = float(self.noise[i])
             basis = float(self.sensor_basis_w[i])
@@ -481,18 +477,74 @@ class FleetState:
                 view_hosts: Sequence[str] = ()) -> None:
         """Rebuild every configuration column from the object model.
 
-        Called once at construction and again after any event fires --
-        the invalidation contract is "any object mutation invalidates the
-        whole columnar config", which costs O(ports + links) on the rare
-        event steps and keeps the hot loop free of staleness checks.
+        Called once at construction and again at each event boundary
+        that is not patched: a fresh PSU row layout, every router written
+        by :meth:`_write_rows` (the writer :meth:`patch_routers` runs on
+        a few), then the inversion-grid groups, the link columns, the
+        view routers and the active-port cache -- O(ports + links) on
+        the rare reshaping steps, and no staleness checks in the hot
+        loop.
         """
         M_REFRESH.inc()
-        self._refresh_ports()
-        self._refresh_routers()
-        self._refresh_psus()
+        self._layout_psu_rows()
+        self._write_rows(np.arange(self.n_routers))
+        # Wall->DC inversion: the routers' shared grid of their PSU
+        # configuration, one group of routers per grid, so the batched
+        # inversion works group by group instead of on a dense
+        # (routers x grid) matrix.
+        members: Dict[PsuConfig, List[int]] = {}
+        for i, router in enumerate(self.routers):
+            members.setdefault(router.spec.psu, []).append(i)
+        self._grid_groups: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
+            (np.array(indices, dtype=np.int64), *inversion_grid(psu))
+            for psu, indices in members.items()]
         self._refresh_links(new_external_link_ids)
         self._refresh_views(view_hosts)
         self._refresh_active_cache()
+
+    def _rows_of(self, hostnames: Optional[Sequence[str]]) -> np.ndarray:
+        """Router rows of these hostnames, or of every router for ``None``."""
+        if hostnames is None:
+            return np.arange(self.n_routers)
+        return np.array([self.router_index[h] for h in hostnames],
+                        dtype=np.int64)
+
+    def _ports_of(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The flat ports of these router rows, row by row in port order,
+        and for each port the position of its router in ``rows``."""
+        starts = self._router_start[rows]
+        counts = self._router_stop[rows] - starts
+        labels = np.repeat(np.arange(len(rows)), counts)
+        offsets = starts - (np.cumsum(counts) - counts)
+        return np.arange(len(labels)) + np.repeat(offsets, counts), labels
+
+    def _write_rows(self, rows: np.ndarray) -> None:
+        """Rebuild every configuration column of these router rows.
+
+        The one writer of the port, router and PSU columns: every row
+        for :meth:`refresh`, the dirty ones for :meth:`patch_routers`.
+        Each value is a pure function of its router's own objects, and
+        each per-router sum is one ``np.bincount`` over the rows' ports,
+        which accumulates every router's ports one addition at a time in
+        port order -- the chain a fleet-wide ``np.bincount`` runs -- so a
+        patched router holds the bits a full rebuild would give it.
+        """
+        ports, labels = self._ports_of(rows)
+        for f in ports.tolist():
+            self._patch_port(f)
+        for i in rows.tolist():
+            self._patch_router_scalars(i)
+            self._write_psu_rows(i)
+        self.dyn_ok[ports] = self.link_up[ports] & self._has_truth[ports]
+        self.port_powered[ports] = self.powered[self.port_router[ports]]
+        for values, sums in ((self.static_w, self.static_sum),
+                             (self.trx_in_w, self.trx_in_sum),
+                             (self.port_w, self.port_sum),
+                             (self.trx_up_w, self.trx_up_sum),
+                             (self.sleep_w, self.sleep_sum)):
+            sums[rows] = np.bincount(labels, weights=values[ports],
+                                     minlength=len(rows))
+        self._refresh_draw_rows()
 
     def _patch_port(self, f: int) -> None:
         """Recompute one port's configuration columns from its object."""
@@ -521,26 +573,6 @@ class FleetState:
             self.p_offset_w[f] = truth.p_offset_w
             self.e_bit_j[f] = truth.e_bit_j
             self.e_pkt_j[f] = truth.e_pkt_j
-
-    def _refresh_ports(self) -> None:
-        for f in range(self.n_ports):
-            self._patch_port(f)
-        np.logical_and(self.link_up, self._has_truth, out=self.dyn_ok)
-        self.static_sum = np.bincount(self.port_router,
-                                      weights=self.static_w,
-                                      minlength=self.n_routers)
-        self.trx_in_sum = np.bincount(self.port_router,
-                                      weights=self.trx_in_w,
-                                      minlength=self.n_routers)
-        self.port_sum = np.bincount(self.port_router,
-                                    weights=self.port_w,
-                                    minlength=self.n_routers)
-        self.trx_up_sum = np.bincount(self.port_router,
-                                      weights=self.trx_up_w,
-                                      minlength=self.n_routers)
-        self.sleep_sum = np.bincount(self.port_router,
-                                     weights=self.sleep_w,
-                                     minlength=self.n_routers)
 
     def _patch_router_scalars(self, i: int) -> None:
         """Recompute one router's scalar columns from its object.
@@ -575,32 +607,50 @@ class FleetState:
         self._offset_rows = np.nonzero(powered & (kind == _OFFSET))[0]
         self._plateau_rows = np.nonzero(powered & (kind == _PLATEAU))[0]
 
-    def _refresh_routers(self) -> None:
-        for i in range(self.n_routers):
-            self._patch_router_scalars(i)
-        np.take(self.powered, self.port_router, out=self.port_powered)
-        self._refresh_draw_rows()
-        # Wall->DC inversion: the routers' shared grid of their PSU
-        # configuration, one group of routers per grid, so the batched
-        # inversion works group by group instead of on a dense
-        # (routers x grid) matrix.
-        members: Dict[PsuConfig, List[int]] = {}
-        for i, router in enumerate(self.routers):
-            members.setdefault(router.spec.psu, []).append(i)
-        self._grid_groups: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (np.array(indices, dtype=np.int64), *inversion_grid(psu))
-            for psu, indices in members.items()]
+    def _layout_psu_rows(self) -> None:
+        """One coefficient row per supply that draws power, router by
+        router (see :func:`_drawing_psus`), for :meth:`_write_psu_rows`
+        to fill."""
+        drawing = [_drawing_psus(r.psu_group) for r in self.routers]
+        counts = np.array([len(psus) for psus in drawing], dtype=np.int64)
+        self._psu_row_stop = np.cumsum(counts)
+        self._psu_row_start = self._psu_row_stop - counts
+        self.psu_router = np.repeat(np.arange(self.n_routers), counts)
+        # Built from the capacities so the column keeps their type
+        # (int64 for the catalog's whole watts).
+        self.psu_cap = np.array([psu.capacity_w for psus in drawing
+                                 for psu in psus])
+        n_rows = len(self.psu_cap)
+        self.psu_scales = np.ones((n_rows, 0))
+        self.psu_a = np.zeros(n_rows)
+        self.psu_b = np.zeros(n_rows)
+        self.psu_c = np.zeros(n_rows)
+        self.psu_div = np.zeros(n_rows)
+        self.psu_zero = np.zeros(n_rows, dtype=bool)
 
-    def _psu_rows_of(self, i: int) -> List[Tuple[float, Tuple[float, ...],
-                                                 float, float, float,
-                                                 float, bool]]:
-        """Coefficient rows ``(cap, scales, a, b, c, div, zero)`` for one
-        router's PSUs under its sharing policy."""
+    def _write_psu_rows(self, i: int) -> None:
+        """Write one router's PSU coefficient rows under its sharing policy.
+
+        The scale chain is padded with exact 1.0 so every row multiplies
+        in the same nesting order as its ``ScaledLossCurve`` stack; a
+        chain deeper than the matrix (a fresh layout, or PSU aging under
+        ``DegradePsu``) widens it with exact-1.0 columns.
+        """
         router = self.routers[i]
         group = router.psu_group
-        n = len(group.instances)
-        rows = []
-        for j, psu in enumerate(group.instances):
+        psus = _drawing_psus(group)
+        r0 = int(self._psu_row_start[i])
+        laid_out = int(self._psu_row_stop[i]) - r0
+        if len(psus) != laid_out:
+            raise ValueError(
+                f"{router.hostname}: PSU row count changed "
+                f"({laid_out} -> {len(psus)}); a sharing-policy change "
+                f"mid-run requires a full refresh()")
+        # Unless balanced, all load is on PSU 0, and a HOT_STANDBY spare
+        # idles powered.
+        balanced = group.policy == SharingPolicy.BALANCED
+        div = float(len(group.instances)) if balanced else 1.0
+        for j, psu in enumerate(psus):
             collapsed = _collapse_curve(psu.curve)
             if collapsed is None:
                 raise ValueError(
@@ -608,55 +658,20 @@ class FleetState:
                     f"{type(psu.curve).__name__} is not vectorizable; "
                     f"run with engine='object'")
             scales, a, b, c = collapsed
-            if group.policy == SharingPolicy.BALANCED:
-                div, zero = float(n), False
-            elif j == 0:
-                div, zero = 1.0, False
-            elif group.policy == SharingPolicy.HOT_STANDBY:
-                div, zero = 1.0, True      # powered but idle
-            else:                          # SINGLE: spare draws nothing
-                continue
-            rows.append((psu.capacity_w, scales, a, b, c, div, zero))
-        return rows
-
-    def _refresh_psus(self) -> None:
-        rows_router: List[int] = []
-        rows_cap: List[float] = []
-        rows_scales: List[Tuple[float, ...]] = []
-        rows_a: List[float] = []
-        rows_b: List[float] = []
-        rows_c: List[float] = []
-        rows_div: List[float] = []
-        rows_zero: List[bool] = []
-        row_start = np.zeros(self.n_routers, dtype=np.int64)
-        row_stop = np.zeros(self.n_routers, dtype=np.int64)
-        for i in range(self.n_routers):
-            row_start[i] = len(rows_router)
-            for cap, scales, a, b, c, div, zero in self._psu_rows_of(i):
-                rows_router.append(i)
-                rows_cap.append(cap)
-                rows_scales.append(scales)
-                rows_a.append(a)
-                rows_b.append(b)
-                rows_c.append(c)
-                rows_div.append(div)
-                rows_zero.append(zero)
-            row_stop[i] = len(rows_router)
-        self._psu_row_start = row_start
-        self._psu_row_stop = row_stop
-        self.psu_router = np.array(rows_router, dtype=np.int64)
-        self.psu_cap = np.array(rows_cap)
-        # Scale chain padded with exact 1.0 so every row multiplies in the
-        # same nesting order as its ScaledLossCurve stack.
-        depth = max((len(s) for s in rows_scales), default=0)
-        self.psu_scales = np.ones((len(rows_scales), depth))
-        for row, scales in enumerate(rows_scales):
+            width = self.psu_scales.shape[1]
+            if len(scales) > width:
+                pad = np.ones((len(self.psu_scales), len(scales) - width))
+                self.psu_scales = np.concatenate([self.psu_scales, pad],
+                                                 axis=1)
+            row = r0 + j
+            self.psu_cap[row] = psu.capacity_w
+            self.psu_scales[row, :] = 1.0
             self.psu_scales[row, :len(scales)] = scales
-        self.psu_a = np.array(rows_a)
-        self.psu_b = np.array(rows_b)
-        self.psu_c = np.array(rows_c)
-        self.psu_div = np.array(rows_div)
-        self.psu_zero = np.array(rows_zero, dtype=bool)
+            self.psu_a[row] = a
+            self.psu_b[row] = b
+            self.psu_c[row] = c
+            self.psu_div[row] = div
+            self.psu_zero[row] = not balanced and j > 0
 
     def _flat_of(self, hostname: str, port_index: int) -> int:
         return int(self._router_start[self.router_index[hostname]]
@@ -767,83 +782,16 @@ class FleetState:
     # -- incremental refresh ---------------------------------------------------------
 
     def patch_routers(self, hostnames: Sequence[str]) -> None:
-        """Patch the configuration columns of the named routers in place.
+        """Rewrite the configuration columns of the named routers in place.
 
-        The incremental counterpart of :meth:`refresh`: the port, router,
-        and PSU columns of exactly these routers are recomputed from
-        their objects, and everything else -- including the link/scatter
-        layout, which no patchable event can change -- stays untouched.
-        The result is bit-identical to a full :meth:`refresh` because
-        every patched value is a pure function of the router's own
-        object state, and the per-router static sum replays
-        ``np.bincount``'s sequential accumulation order.
+        The incremental counterpart of :meth:`refresh`: the same writer,
+        :meth:`_write_rows`, over these routers' rows only.  The PSU row
+        layout and the link/scatter layout, which no patchable event
+        changes, stay as they are, and so does every other router's row.
         """
         M_ROUTERS_PATCHED.inc(len(hostnames))
-        for host in hostnames:
-            i = self.router_index[host]
-            start = int(self._router_start[i])
-            stop = int(self._router_stop[i])
-            for f in range(start, stop):
-                self._patch_port(f)
-            np.logical_and(self.link_up[start:stop],
-                           self._has_truth[start:stop],
-                           out=self.dyn_ok[start:stop])
-            # np.bincount accumulates weights one float64 addition at a
-            # time in index order; a running scalar sum over the
-            # router's ports is the identical chain of additions.
-            acc = 0.0
-            acc_in = 0.0
-            acc_port = 0.0
-            acc_up = 0.0
-            acc_sleep = 0.0
-            for f in range(start, stop):
-                acc += float(self.static_w[f])
-                acc_in += float(self.trx_in_w[f])
-                acc_port += float(self.port_w[f])
-                acc_up += float(self.trx_up_w[f])
-                acc_sleep += float(self.sleep_w[f])
-            self.static_sum[i] = acc
-            self.trx_in_sum[i] = acc_in
-            self.port_sum[i] = acc_port
-            self.trx_up_sum[i] = acc_up
-            self.sleep_sum[i] = acc_sleep
-            self._patch_router_scalars(i)
-            self.port_powered[start:stop] = self.powered[i]
-            self._patch_psu_rows(i)
-        self._refresh_draw_rows()
+        self._write_rows(self._rows_of(hostnames))
         self._refresh_active_cache()
-
-    def _patch_psu_rows(self, i: int) -> None:
-        """Recompute one router's PSU coefficient rows in place.
-
-        PSU aging (``DegradePsu``) can deepen a curve's scale chain; the
-        shared scale matrix is widened with exact-1.0 columns when
-        needed, which multiplies identically to a full rebuild's
-        padding.
-        """
-        rows = self._psu_rows_of(i)
-        r0 = int(self._psu_row_start[i])
-        r1 = int(self._psu_row_stop[i])
-        if len(rows) != r1 - r0:
-            raise ValueError(
-                f"{self.routers[i].hostname}: PSU row count changed "
-                f"({r1 - r0} -> {len(rows)}); a sharing-policy change "
-                f"mid-run requires a full refresh()")
-        depth = max((len(r[1]) for r in rows), default=0)
-        if depth > self.psu_scales.shape[1]:
-            pad = np.ones((self.psu_scales.shape[0],
-                           depth - self.psu_scales.shape[1]))
-            self.psu_scales = np.concatenate([self.psu_scales, pad], axis=1)
-        for k, (cap, scales, a, b, c, div, zero) in enumerate(rows):
-            row = r0 + k
-            self.psu_cap[row] = cap
-            self.psu_scales[row, :] = 1.0
-            self.psu_scales[row, :len(scales)] = scales
-            self.psu_a[row] = a
-            self.psu_b[row] = b
-            self.psu_c[row] = c
-            self.psu_div[row] = div
-            self.psu_zero[row] = zero
 
     def memory_footprint(self) -> Dict[str, float]:
         """Bytes held by the columnar arrays (the object fleet excluded).

@@ -21,8 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.network.simulation import NetworkSimulation
 
 
-def _port_link_hosts(network: ISPNetwork, hostname: str,
-                     port_index: int) -> Optional[FrozenSet[str]]:
+def port_link_hosts(network: ISPNetwork, hostname: str,
+                    port_index: int) -> Optional[FrozenSet[str]]:
     """Routers whose link state one port's configuration can touch.
 
     The port's own router plus the router at the far end of its cable:
@@ -93,8 +93,8 @@ class UnplugModule(FleetEvent):
     def dirty_hosts(self, simulation: "NetworkSimulation",
                     ) -> Optional[FrozenSet[str]]:
         """This router plus the router at the far end of the port's cable."""
-        return _port_link_hosts(simulation.network, self.hostname,
-                                self.port_index)
+        return port_link_hosts(simulation.network, self.hostname,
+                               self.port_index)
 
 
 @dataclass
@@ -150,8 +150,8 @@ class SetAdminState(FleetEvent):
     def dirty_hosts(self, simulation: "NetworkSimulation",
                     ) -> Optional[FrozenSet[str]]:
         """This router plus the router at the far end of the port's cable."""
-        return _port_link_hosts(simulation.network, self.hostname,
-                                self.port_index)
+        return port_link_hosts(simulation.network, self.hostname,
+                               self.port_index)
 
 
 @dataclass

@@ -33,7 +33,6 @@ def evaluate_group(model: PowerModel,
         values = predict_trace(
             model, [],
             assume_unplugged_when_idle=first.assume_unplugged_when_idle,
-            active_pps_threshold=first.active_pps_threshold,
             n_samples=len(entries))
         return [float(v) for v in values]
     interfaces = []
@@ -48,6 +47,5 @@ def evaluate_group(model: PowerModel,
             speed_gbps=member.speed_gbps))
     values = predict_trace(
         model, interfaces,
-        assume_unplugged_when_idle=first.assume_unplugged_when_idle,
-        active_pps_threshold=first.active_pps_threshold)
+        assume_unplugged_when_idle=first.assume_unplugged_when_idle)
     return [float(v) for v in values]

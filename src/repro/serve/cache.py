@@ -32,8 +32,7 @@ DEFAULT_CAPACITY = 65536
 
 
 def member_contribution(model: PowerModel, member: InterfaceQuery,
-                        assume_unplugged_when_idle: bool,
-                        active_pps_threshold: float) -> float:
+                        assume_unplugged_when_idle: bool) -> float:
     """One interface's scalar power term, matrix-bit-equal.
 
     Mirrors the elementwise expression inside ``predict_trace`` --
@@ -46,7 +45,7 @@ def member_contribution(model: PowerModel, member: InterfaceQuery,
     bps = units.BITS_PER_BYTE * (
         octets + units.ETHERNET_OVERHEAD_BYTES * packets)
     pps = packets
-    if prediction_active(pps, active_pps_threshold):
+    if prediction_active(pps):
         return (iface_model.p_trx_in_w.value + iface_model.p_port_w.value
                 + iface_model.p_trx_up_w.value
                 + iface_model.p_offset_w.value
@@ -64,8 +63,7 @@ def _member_key(query: RouterQuery, member: InterfaceQuery) -> Tuple:
     split but equal-sum polls share an entry.
     """
     return (query.router_model, query.assume_unplugged_when_idle,
-            query.active_pps_threshold, member.class_key,
-            member.oct_rate.hex(), member.pkt_rate.hex())
+            member.class_key, member.oct_rate.hex(), member.pkt_rate.hex())
 
 
 def _fold(model: PowerModel, members: Sequence[InterfaceQuery],
@@ -133,8 +131,7 @@ class PredictionCache:
             value = self._entries.get(key)
             if value is None:
                 value = member_contribution(
-                    model, member, query.assume_unplugged_when_idle,
-                    query.active_pps_threshold)
+                    model, member, query.assume_unplugged_when_idle)
                 self._entries[key] = value
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)

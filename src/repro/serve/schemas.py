@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import units
-from repro.activity import ACTIVE_PPS_THRESHOLD
 from repro.core.model import InterfaceClassKey
 from repro.core.prediction import resolve_class_key
 
@@ -131,7 +130,6 @@ class RouterQuery:
     router_model: str
     interfaces: Tuple[InterfaceQuery, ...]
     assume_unplugged_when_idle: bool
-    active_pps_threshold: float
 
     @property
     def resolved(self) -> Tuple[InterfaceQuery, ...]:
@@ -149,8 +147,7 @@ class RouterQuery:
         every group fold aligns bit-for-bit.
         """
         classes = tuple(i.class_key for i in self.resolved)
-        return (self.router_model, self.assume_unplugged_when_idle,
-                self.active_pps_threshold, classes)
+        return (self.router_model, self.assume_unplugged_when_idle, classes)
 
 
 @dataclass(frozen=True)
@@ -251,8 +248,7 @@ def parse_predict_request(document: object,
         members.sort(key=lambda m: m.sort_key)
         routers.append(RouterQuery(
             router_model=model_name, interfaces=tuple(members),
-            assume_unplugged_when_idle=unplugged,
-            active_pps_threshold=ACTIVE_PPS_THRESHOLD))
+            assume_unplugged_when_idle=unplugged))
     return PredictRequest(routers=tuple(routers))
 
 

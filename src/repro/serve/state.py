@@ -18,19 +18,19 @@ seed serve byte-identical ``/fleet`` documents and what-if deltas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro import units
 from repro.core import derive_power_model
 from repro.core.model import PowerModel
-from repro.hardware import (TRANSCEIVER_CATALOG, Port, VirtualRouter,
-                            router_spec)
+from repro.hardware import TRANSCEIVER_CATALOG, VirtualRouter, router_spec
 from repro.lab import ExperimentPlan, Orchestrator
 from repro.network import (FleetTrafficModel, NetworkSimulation,
                            generate_synth_network, synth_config)
 from repro.network.engine import FleetState
+from repro.network.events import port_link_hosts
 from repro.serve.schemas import SERVE_SCHEMA, RequestError, WhatIfRequest
 
 #: Preferred lab module per port form factor for quick derivations.
@@ -191,6 +191,7 @@ class FleetService:
         assert state is not None and network is not None \
             and baseline is not None
         toggles: List[Tuple[object, bool]] = []
+        patch_hosts: Set[str] = set()
 
         def plan_toggle(hostname: str, port_index: int,
                         admin_up: bool) -> None:
@@ -201,6 +202,11 @@ class FleetService:
                 raise RequestError(
                     f"{hostname} has no port {port_index}")
             toggles.append((router.ports[port_index], admin_up))
+            # A toggle dirties what SetAdminState declares: the port's
+            # router and the router at the far end of its cable, whose
+            # link_up flips with it (never None after the checks above).
+            patch_hosts.update(
+                port_link_hosts(network, hostname, port_index) or ())
 
         for change in request.changes:
             plan_toggle(change.hostname, change.port_index,
@@ -214,18 +220,6 @@ class FleetService:
 
         hosts = sorted({port.router.hostname for port, _up in toggles})
         host_rows = [state.router_index[h] for h in hosts]
-        # Flipping one end's admin state changes link_up on *both*
-        # ends of the cable (as events._port_link_hosts declares for
-        # SetAdminState), so the patch set must include the cable
-        # peers or their columns go stale.
-        patch_hosts = set(hosts)
-        # An external port's peer is another network's port, which has
-        # no router to patch.
-        for port, _up in toggles:
-            peer = port.peer
-            if isinstance(peer, Port) and \
-                    peer.router.hostname in state.router_index:
-                patch_hosts.add(peer.router.hostname)
         patch_list = sorted(patch_hosts)
         baseline_total = float(baseline.sum())
         saved = [(port, port.admin_up) for port, _up in toggles]

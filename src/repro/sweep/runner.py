@@ -261,11 +261,6 @@ def _worker_main(task_queue, result_queue, root_seed: int, engine: str,
                          attribution, timeline))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Crash-safe file replace (the resume state must never be torn)."""
-    atomic_write_text(path, text)
-
-
 def _report_document(matrix: ScenarioMatrix, root_seed: int, engine: str,
                      completed: Dict[str, Dict],
                      attribution: bool = False) -> Dict:
@@ -286,7 +281,7 @@ def _report_document(matrix: ScenarioMatrix, root_seed: int, engine: str,
 
 
 def _write_report(output: Path, document: Dict) -> None:
-    _atomic_write(output, json.dumps(document, indent=2) + "\n")
+    atomic_write_text(output, json.dumps(document, indent=2) + "\n")
 
 
 def load_previous_jobs(output: Path, matrix: ScenarioMatrix,
@@ -344,7 +339,7 @@ def _write_bench_rows(bench_output: Path, root_seed: int,
         "step_s": step_s,
         "cases": [merged[name] for name in sorted(merged)],
     }
-    _atomic_write(bench_output, json.dumps(document, indent=2) + "\n")
+    atomic_write_text(bench_output, json.dumps(document, indent=2) + "\n")
 
 
 def default_bench_output(output: Path) -> Path:

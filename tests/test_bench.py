@@ -9,7 +9,9 @@ lives in ``benchmarks/test_perf_simulation.py``.
 from __future__ import annotations
 
 import copy
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,33 @@ class TestReportMerging:
         # The v2 entry's layout predates per-case seeds; dropping it
         # beats grafting stale semantics onto a v3 report.
         assert [c["name"] for c in report["cases"]] == ["small"]
+
+    def test_write_killed_before_the_rename_keeps_the_previous_report(
+            self, tmp_path, monkeypatch):
+        # A report write that dies half way (a kill, a full disk) must
+        # leave the last report whole: a torn one reads as empty, and
+        # the next subset run would then drop every case it did not
+        # re-run.
+        out = tmp_path / "bench.json"
+        previous_medium = {"name": "medium", "seed": 3, "n_steps": 1,
+                           "object": {"wall_s": 9.9}}
+        out.write_text(json.dumps({
+            "schema": bench.SCHEMA, "seed": 3, "step_s": bench.STEP_S,
+            "cases": [previous_medium]}))
+        before = out.read_text()
+        write_text = Path.write_text
+
+        def torn_write(path, text, *args, **kwargs):
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="killed mid-write"):
+            bench.run_benchmarks(["small"], seed=11, output=out,
+                                 steps_override=5, stream=io.StringIO())
+        monkeypatch.undo()
+        assert out.read_text() == before
+        assert bench.previous_cases(out) == {"medium": previous_medium}
 
     def test_corrupt_previous_report_is_ignored(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -19,6 +19,10 @@ import pytest
 from repro.hardware.transceiver import compatible, transceiver
 from repro.network import (
     AddExternalInterface,
+    AmbientChange,
+    Commission,
+    Decommission,
+    DegradePsu,
     DeployAutopower,
     FleetInventory,
     FleetTrafficModel,
@@ -33,6 +37,7 @@ from repro.network import (
     synth_config,
 )
 from repro.network import engine as engine_mod
+from repro.network.engine import FleetState
 from repro.obs import metrics
 
 PRESET = "synth-200"
@@ -90,6 +95,16 @@ def _run(engine: str, events, incremental: bool = True, seed: int = 11):
     finally:
         engine_mod.INCREMENTAL_REFRESH = saved
     return network, result
+
+
+def _spare_sfp_port(network):
+    """The first unplugged port that takes an SFP-1G-LX module."""
+    for host in sorted(network.routers):
+        for idx, port in enumerate(network.routers[host].ports):
+            if not port.plugged and compatible(
+                    port.port_type, transceiver("SFP-1G-LX").model):
+                return host, idx
+    raise AssertionError("synthetic fleet should keep spare SFP ports")
 
 
 def _assert_bitwise_identical(r1, r2):
@@ -158,17 +173,7 @@ class TestSynthFleetEquivalence:
 
     def test_topology_reshape_forces_full_rebuild(self):
         network, _ = _build()
-        target = None
-        for host in sorted(network.routers):
-            router = network.routers[host]
-            for idx, port in enumerate(router.ports):
-                if not port.plugged and compatible(
-                        port.port_type, transceiver("SFP-1G-LX").model):
-                    target = (host, idx)
-                    break
-            if target:
-                break
-        assert target, "synthetic fleet should keep spare SFP ports"
+        target = _spare_sfp_port(network)
         events = [AddExternalInterface(at_s=5 * STEP_S, hostname=target[0],
                                        port_index=target[1],
                                        trx_name="SFP-1G-LX")]
@@ -182,6 +187,95 @@ class TestSynthFleetEquivalence:
             assert refresh is not None and refresh.default().value >= 2
         _, r_full = _run("vector", events, incremental=False)
         _assert_bitwise_identical(r_inc, r_full)
+
+
+#: Configuration columns of a FleetState, besides its psu_* columns.
+_CONFIG_COLUMNS = (
+    # Per-port statics and masks.
+    "static_w", "trx_in_w", "port_w", "trx_up_w", "sleep_w", "p_offset_w",
+    "e_bit_j", "e_pkt_j", "link_up", "_has_truth", "dyn_ok", "port_powered",
+    # Router and sensor scalars.
+    "powered", "base_fixed", "noise_std", "sensor_kind", "report_offset_w",
+    "report_quantum_w", "sensor_bias_w", "sensor_basis_w",
+    # The five per-router sums.
+    "static_sum", "trx_in_sum", "port_sum", "trx_up_sum", "sleep_sum",
+    # Row bounds.
+    "_router_start", "_router_stop", "_psu_row_start", "_psu_row_stop",
+)
+
+
+def _column_schedule(network, reshape: bool):
+    """One of every patchable event kind, plus an optional reshape.
+
+    The fleet-wide events come first: a HeatWave patches every router
+    and a reshape rebuilds every column, so either would overwrite a
+    stale column that an earlier event left behind.
+    """
+    hosts = sorted(network.routers)
+    internal = [link for link in network.links if link.is_internal]
+    toggled, pulled = internal[0].a, internal[1].b
+    degraded = hosts[4]
+    assert len(network.routers[degraded].psu_group.instances) >= 2
+    events = [
+        HeatWave(at_s=2 * STEP_S, ambient_c=31.0),
+        AmbientChange(at_s=4 * STEP_S, hostname=hosts[6], ambient_c=27.0),
+        SetAdminState(at_s=5 * STEP_S, hostname=toggled.hostname,
+                      port_index=toggled.port_index, up=False),
+        UnplugModule(at_s=7 * STEP_S, hostname=pulled.hostname,
+                     port_index=pulled.port_index),
+        PowerCycle(at_s=9 * STEP_S, hostname=hosts[2]),
+        OsUpdate(at_s=11 * STEP_S, hostname=hosts[3]),
+        DegradePsu(at_s=13 * STEP_S, hostname=degraded, psu_index=0,
+                   efficiency_delta=-0.05),
+        DegradePsu(at_s=15 * STEP_S, hostname=degraded, psu_index=1,
+                   efficiency_delta=-0.03),
+        Decommission(at_s=17 * STEP_S, hostname=hosts[5]),
+        DeployAutopower(at_s=21 * STEP_S, hostname=hosts[7]),
+        Commission(at_s=25 * STEP_S, hostname=hosts[5]),
+    ]
+    if reshape:
+        host, idx = _spare_sfp_port(network)
+        events.append(AddExternalInterface(
+            at_s=3 * STEP_S, hostname=host, port_index=idx,
+            trx_name="SFP-1G-LX"))
+    return sorted(events, key=lambda e: e.at_s)
+
+
+class TestColumnsEqualAFreshBuild:
+    """After a run, the patched columns must equal a fresh build's.
+
+    The output tests only see the columns the kernels read; this one
+    compares every configuration column byte for byte with a
+    FleetState built from the post-run objects, so a column that one
+    writer leaves stale shows here before any output reads it.
+    """
+
+    @pytest.mark.parametrize("reshape", [False, True],
+                             ids=["patches", "patches+rebuild"])
+    def test_configuration_columns_match(self, reshape):
+        network, sim = _build()
+        events = _column_schedule(network, reshape)
+        with metrics.use_registry(metrics.MetricsRegistry()) as reg:
+            sim.run(duration_s=N_STEPS * STEP_S, step_s=STEP_S,
+                    events=events, engine="vector")
+            refresh = reg.get("netpower_sim_engine_refresh_total")
+            assert refresh.default().value == (2 if reshape else 1)
+            patched = reg.get(
+                "netpower_sim_engine_router_columns_patched_total")
+            assert patched.default().value > len(network.routers)
+        state = sim.last_vector_engine.state
+        fresh = FleetState(network, sim.traffic,
+                           new_external_link_ids=sim._new_external_link_ids,
+                           view_hosts=sim._view_hosts())
+        psu_columns = sorted(
+            name for name, value in vars(fresh).items()
+            if name.startswith("psu_") and isinstance(value, np.ndarray))
+        assert len(psu_columns) == 8
+        for name in _CONFIG_COLUMNS + tuple(psu_columns):
+            got, want = getattr(state, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestSynthDeterminism:
