@@ -45,16 +45,15 @@ ACTIVE_PPS_THRESHOLD: float = 1e-3
 PpsLike = Union[float, np.ndarray]
 
 
-def prediction_active(pps: PpsLike,
-                      threshold: float = ACTIVE_PPS_THRESHOLD
-                      ) -> Union[bool, np.ndarray]:
-    """Whether an observed packet rate counts as active (strict ``>``).
+def prediction_active(pps: PpsLike) -> Union[bool, np.ndarray]:
+    """Whether an observed packet rate exceeds
+    :data:`ACTIVE_PPS_THRESHOLD` (strict ``>``).
 
     Works elementwise on arrays and on scalars; every prediction path
     (trace, instant, serve cache, batched matrix) must route through
     this single comparison.
     """
-    return pps > threshold
+    return pps > ACTIVE_PPS_THRESHOLD
 
 
 def carrying_traffic(rx_bps: float, tx_bps: float) -> bool:

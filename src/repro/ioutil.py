@@ -22,9 +22,14 @@ def atomic_write_text(path: Union[str, os.PathLike], text: str) -> None:
     """Replace ``path``'s contents with ``text``, never leaving a torn file.
 
     The temp file lives in the target's directory (same filesystem, so
-    the final ``os.replace`` is atomic) under ``<name>.tmp``.
+    the final ``os.replace`` is atomic) under ``<name>.tmp``; a write
+    that fails before the rename removes it again.
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, target)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

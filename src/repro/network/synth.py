@@ -41,8 +41,7 @@ import numpy as np
 
 from repro.hardware.catalog import ROUTER_CATALOG, router_spec
 from repro.hardware.router import VirtualRouter
-from repro.network.topology import ISPNetwork, WiringBuilder, _pick_module
-from repro.network.topology import _REACH_BY_DISTANCE
+from repro.network.topology import ISPNetwork, WiringBuilder
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,6 @@ class SynthConfig:
     #: Router sensor noise.  Zero by default: large fleets stay
     #: bit-identical across engines without per-router noise draws.
     router_noise_std_w: float = 0.0
-    #: Fraction of routers carrying a spare module in a down port.
-    spare_fraction: float = 0.0
 
     def models(self) -> Tuple[str, ...]:
         """Every platform name the config can instantiate."""
@@ -156,7 +153,6 @@ class _SynthBuilder(WiringBuilder):
         self._place_pops(plan)
         self._wire(plan)
         self._add_external_links(plan, roles)
-        self._add_spares()
         return self.network
 
     def _hostname(self) -> str:
@@ -337,23 +333,6 @@ class _SynthBuilder(WiringBuilder):
                 if self._external_link(hostname,
                                        slow=(role == "access")) is None:
                     break
-
-    def _add_spares(self) -> None:
-        if self.config.spare_fraction <= 0.0:
-            return
-        hosts = sorted(self.network.routers)
-        n_spares = max(1, int(len(hosts) * self.config.spare_fraction))
-        chosen = self.rng.choice(len(hosts), size=n_spares, replace=False)
-        for idx in chosen:
-            router = self.network.routers[hosts[int(idx)]]
-            free = [p for p in router.ports if not p.plugged]
-            if not free:
-                continue
-            port = free[-1]
-            module, _ = _pick_module(port.port_type,
-                                     port.port_type.max_speed_gbps,
-                                     _REACH_BY_DISTANCE["metro"])
-            port.plug(module.name)  # plugged, admin-down: draws P_trx,in
 
 
 def generate_synth_network(config: Optional[SynthConfig] = None,

@@ -22,9 +22,11 @@ near the paper's ≈21.7 kW (Fig. 1) and the per-model medians near Table 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -77,15 +79,15 @@ class Link:
         return self.kind == LinkKind.INTERNAL
 
 
+@functools.lru_cache(maxsize=None)
 def _pick_module(port_type: PortType, speed_gbps: float,
-                 preferred_reach: Sequence[Reach]) -> Tuple[TransceiverModel,
-                                                            Optional[float]]:
+                 preferred_reach: Tuple[Reach, ...]) -> TransceiverModel:
     """Choose a catalog module for a port at a target speed.
 
-    Returns ``(module, configured_speed)`` where ``configured_speed`` is
-    non-None when the module's nominal rate exceeds the target and the
-    port must be clocked down (e.g. a QSFP28 DAC run at 25G, exactly the
-    lower-speed rows of Table 2 a).
+    A module faster than the target means the port must be clocked
+    down (e.g. a QSFP28 DAC run at 25G, exactly the lower-speed rows of
+    Table 2 a).  Memoized: the arguments are hashable and the catalog
+    never changes, so each distinct request scans it once.
     """
     candidates = [m for m in TRANSCEIVER_CATALOG.values()
                   if compatible(port_type, m)]
@@ -95,19 +97,17 @@ def _pick_module(port_type: PortType, speed_gbps: float,
         exact = [m for m in candidates
                  if m.reach == reach and m.speed_gbps == speed_gbps]
         if exact:
-            return exact[0], None
+            return exact[0]
     exact_any = [m for m in candidates if m.speed_gbps == speed_gbps]
     if exact_any:
-        return exact_any[0], None
+        return exact_any[0]
     faster = [m for m in candidates if m.speed_gbps > speed_gbps]
     if faster:
         for reach in preferred_reach:
             match = [m for m in faster if m.reach == reach]
             if match:
-                best = min(match, key=lambda m: m.speed_gbps)
-                return best, speed_gbps
-        best = min(faster, key=lambda m: m.speed_gbps)
-        return best, speed_gbps
+                return min(match, key=lambda m: m.speed_gbps)
+        return min(faster, key=lambda m: m.speed_gbps)
     raise ValueError(
         f"no module can serve {speed_gbps} G on a {port_type.value} port")
 
@@ -255,9 +255,11 @@ class WiringBuilder:
 
     Both the Switch-like builder below and the synthetic multi-tier
     generator (:mod:`repro.network.synth`) assemble an
-    :class:`ISPNetwork` through these primitives, so module selection,
-    speed clocking, link bookkeeping, and external-peer stubs behave
-    identically regardless of which generator produced the fleet.
+    :class:`ISPNetwork` through these primitives, and each wiring
+    decision has one implementation here: which free port a link takes
+    (:meth:`_free_port`), which module a port gets and whether it is
+    clocked down (:meth:`_provision`), and the link bookkeeping and
+    external-peer stubs (:meth:`_link`, :meth:`_external_link`).
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -265,26 +267,38 @@ class WiringBuilder:
         self.network = ISPNetwork()
         self._link_ids = itertools.count(0)
         self._peer_ids = itertools.count(0)
+        self._port_orders: Dict[Tuple[str, bool], Deque[Port]] = {}
 
     # -- port & link plumbing --------------------------------------------------------
 
     def _free_port(self, hostname: str,
-                   min_speed: float = 0.0) -> Optional[Port]:
-        """A free port on a router, fastest cages first."""
-        router = self.network.router(hostname)
-        free = [p for p in router.ports if not p.plugged
-                and p.port_type.max_speed_gbps >= min_speed]
-        if not free:
-            return None
-        return max(free, key=lambda p: p.port_type.max_speed_gbps)
+                   slowest: bool = False) -> Optional[Port]:
+        """The first unplugged port, fastest cages first (slowest first
+        for customer links), ties in port order.
 
-    def _free_port_slowest(self, hostname: str) -> Optional[Port]:
-        """A free port preferring the *slowest* cages (for customer links)."""
-        router = self.network.router(hostname)
-        free = [p for p in router.ports if not p.plugged]
-        if not free:
-            return None
-        return min(free, key=lambda p: p.port_type.max_speed_gbps)
+        Each order is sorted once per router and trimmed from the front
+        as its ports get plugged; nothing unplugs a port during a build.
+        """
+        order = self._port_orders.get((hostname, slowest))
+        if order is None:
+            order = deque(sorted(self.network.router(hostname).ports,
+                                 key=lambda p: p.port_type.max_speed_gbps,
+                                 reverse=not slowest))
+            self._port_orders[hostname, slowest] = order
+        while order and order[0].plugged:
+            order.popleft()
+        return order[0] if order else None
+
+    @staticmethod
+    def _provision(port: Port, speed: float, distance: str) -> None:
+        """Plug the module for ``distance`` at ``speed``, clock the port
+        down if the module is faster, and set it admin-up."""
+        module = _pick_module(port.port_type, speed,
+                              _REACH_BY_DISTANCE[distance])
+        port.plug(module.name)
+        if module.speed_gbps != speed:
+            port.set_speed(speed)
+        port.set_admin(True)
 
     def _link(self, host_a: str, host_b: str, distance: str) -> Optional[Link]:
         """Create an internal link between two routers, if ports allow."""
@@ -294,13 +308,8 @@ class WiringBuilder:
             return None
         speed = min(port_a.port_type.max_speed_gbps,
                     port_b.port_type.max_speed_gbps)
-        reaches = _REACH_BY_DISTANCE[distance]
-        for port in (port_a, port_b):
-            module, configured = _pick_module(port.port_type, speed, reaches)
-            port.plug(module.name)
-            if configured is not None or module.speed_gbps != speed:
-                port.set_speed(speed)
-            port.set_admin(True)
+        self._provision(port_a, speed, distance)
+        self._provision(port_b, speed, distance)
         connect(port_a, port_b)
         link = Link(
             link_id=next(self._link_ids), kind=LinkKind.INTERNAL,
@@ -313,8 +322,7 @@ class WiringBuilder:
 
     def _external_link(self, hostname: str, slow: bool) -> Optional[Link]:
         """Attach a customer/peer link to a router's free port."""
-        port = (self._free_port_slowest(hostname) if slow
-                else self._free_port(hostname))
+        port = self._free_port(hostname, slowest=slow)
         if port is None:
             return None
         if slow:
@@ -323,12 +331,7 @@ class WiringBuilder:
         else:
             reach_key = "metro"
         speed = port.port_type.max_speed_gbps
-        module, configured = _pick_module(
-            port.port_type, speed, _REACH_BY_DISTANCE[reach_key])
-        port.plug(module.name)
-        if configured is not None or module.speed_gbps != speed:
-            port.set_speed(speed)
-        port.set_admin(True)
+        self._provision(port, speed, reach_key)
         peer = ExternalPeerPort(name=f"peer-{next(self._peer_ids):04d}")
         connect(port, peer)
         link = Link(
@@ -478,8 +481,8 @@ class _FleetBuilder(WiringBuilder):
                 continue
             port = free[-1]
             speed = port.port_type.max_speed_gbps
-            module, _ = _pick_module(port.port_type, speed,
-                                     _REACH_BY_DISTANCE["metro"])
+            module = _pick_module(port.port_type, speed,
+                                  _REACH_BY_DISTANCE["metro"])
             port.plug(module.name)  # plugged, admin-down: draws P_trx,in
 
 

@@ -266,7 +266,7 @@ class MetricsRegistry:
         """The registry as a plain, JSON/pickle-able state document.
 
         Unlike :func:`repro.obs.export.snapshot` (a read-only report),
-        this form round-trips: :meth:`restore_state` rebuilds identical
+        this form round-trips: :meth:`from_state` rebuilds identical
         instruments from it and :meth:`merge_state` folds one registry's
         state into another -- the contract worker processes use to ship
         their per-job metrics back to the sweep parent.
@@ -338,20 +338,11 @@ class MetricsRegistry:
                     instrument.sum += float(sample["sum"])
                     instrument.count += int(sample["count"])
 
-    def restore_state(self, state: Dict) -> None:
-        """Rebuild instruments from a state document (fresh registries).
-
-        A plain alias of :meth:`merge_state` -- merging into an empty
-        registry *is* restoration; the name documents intent at call
-        sites that reconstruct rather than aggregate.
-        """
-        self.merge_state(state)
-
     @classmethod
     def from_state(cls, state: Dict) -> "MetricsRegistry":
         """A new registry holding exactly the instruments in ``state``."""
         registry = cls()
-        registry.restore_state(state)
+        registry.merge_state(state)
         return registry
 
     def register_declared(self) -> None:

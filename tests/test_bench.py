@@ -128,6 +128,7 @@ class TestReportMerging:
         monkeypatch.undo()
         assert out.read_text() == before
         assert bench.previous_cases(out) == {"medium": previous_medium}
+        assert not (tmp_path / "bench.json.tmp").exists()
 
     def test_corrupt_previous_report_is_ignored(self, tmp_path):
         out = tmp_path / "bench.json"

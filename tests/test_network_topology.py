@@ -1,15 +1,26 @@
-"""The synthetic Switch-like fleet: structure and calibration."""
+"""The synthetic Switch-like fleet: structure, calibration, and the
+wiring both generators share, pinned against committed digests."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.hardware import TABLE1_MEASURED_MEDIAN_W
+from repro.hardware.router import Port
 from repro.network import (
     FleetConfig,
+    FleetInventory,
     LinkKind,
     build_switch_like_network,
+    generate_synth_network,
+    synth_config,
 )
+
+WIRING_GOLDEN = Path(__file__).parent / "data" / "fleet_wiring_golden.json"
 
 
 class TestFleetStructure:
@@ -142,3 +153,60 @@ class TestPopViews:
         assert host in fleet.pops[pop]
         with pytest.raises(KeyError, match="not placed"):
             fleet.pop_of("ghost")
+
+
+# -- wiring pinned across commits ---------------------------------------------------
+
+
+def wiring_digest(network) -> str:
+    """SHA-256 over everything a generator decides: the inventory JSON,
+    the link list, the PoPs, each port's configured speed, admin state
+    and cable peer, and each router's PSU offsets and generator state."""
+    digest = hashlib.sha256()
+
+    def put(value) -> None:
+        digest.update(repr(value).encode())
+        digest.update(b"\n")
+
+    digest.update(FleetInventory.capture(network).to_json().encode())
+    for link in network.links:
+        b = None if link.b is None else (link.b.hostname, link.b.port_index)
+        put((link.link_id, link.kind, link.speed_gbps,
+             (link.a.hostname, link.a.port_index), b, link.peer_name,
+             link.distance))
+    put(list(network.pops.items()))
+    for hostname, router in network.routers.items():
+        for port in router.ports:
+            peer = port.peer
+            if isinstance(peer, Port):
+                peer = (peer.router.hostname, peer.index)
+            elif peer is not None:
+                peer = peer.name
+            put((hostname, port.index, port.configured_speed_gbps,
+                 port.admin_up, peer))
+        put((hostname,
+             [psu.efficiency_offset for psu in router.psu_group.instances],
+             router.rng.bit_generator.state))
+    return digest.hexdigest()
+
+
+WIRING_CASES = {
+    "full/seed-1": lambda: build_switch_like_network(
+        rng=np.random.default_rng(1)),
+    "full/seed-7": lambda: build_switch_like_network(
+        rng=np.random.default_rng(7)),
+    "synth-200/seed-42": lambda: generate_synth_network(
+        synth_config("synth-200"), rng=np.random.default_rng(42)),
+    "synth-1k/seed-1": lambda: generate_synth_network(
+        synth_config("synth-1k"), rng=np.random.default_rng(1)),
+}
+
+
+class TestWiringGolden:
+    """Both generators build byte-for-byte the fleets they built when
+    the digests were committed, not only the same fleet twice."""
+
+    @pytest.mark.parametrize("case", sorted(WIRING_CASES))
+    def test_fleet_matches_committed_digest(self, case):
+        golden = json.loads(WIRING_GOLDEN.read_text())["digests"]
+        assert wiring_digest(WIRING_CASES[case]()) == golden[case]
